@@ -1,11 +1,16 @@
 // Micro-benchmarks (google-benchmark): per-component costs that back the
 // scenario benches — SQL parsing/rewriting (the middleware's per-statement
-// tax), engine transaction primitives, writeset capture/apply, and
-// certification throughput. These are wall-clock benchmarks of the actual
+// tax), engine transaction primitives, writeset capture/apply,
+// certification throughput, and the durable binlog (CRC framing, append,
+// ship cursor, checkpoint). These are wall-clock benchmarks of the actual
 // implementation (no simulated time).
 
 #include <benchmark/benchmark.h>
 
+#include "binlog/format.h"
+#include "binlog/log_store.h"
+#include "binlog/segmented_log.h"
+#include "common/rng.h"
 #include "engine/rdbms.h"
 #include "middleware/recovery_log.h"
 #include "ship/codec.h"
@@ -202,6 +207,103 @@ void BM_RecoveryLogAppendAndRange(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RecoveryLogAppendAndRange);
+
+// --- Durable binlog -----------------------------------------------------------
+
+middleware::ReplicationEntry BinlogBenchEntry(middleware::GlobalVersion v) {
+  middleware::ReplicationEntry e;
+  e.version = v;
+  e.origin_commit_us = static_cast<int64_t>(v) * 137;
+  engine::WriteOp op;
+  op.kind = engine::WriteOpKind::kUpdate;
+  op.database = "bank";
+  op.table = "accounts";
+  op.primary_key = sql::Value::Int(static_cast<int64_t>(v % 20000));
+  op.after = {op.primary_key, sql::Value::Int(static_cast<int64_t>(v)),
+              sql::Value::String("account holder")};
+  e.writeset.ops.push_back(std::move(op));
+  return e;
+}
+
+void BM_Crc32(benchmark::State& state) {
+  std::string data(static_cast<size_t>(state.range(0)), '\0');
+  Rng rng(3);
+  for (char& c : data) c = static_cast<char>(rng.Uniform(256));
+  for (auto _ : state) {
+    uint32_t crc = binlog::Crc32(data);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+// A small entry frame, and the size of a 20k-row checkpoint image.
+BENCHMARK(BM_Crc32)->Arg(128)->Arg(380 * 1024);
+
+/// Segment-encoded append with CRC framing and rollover at the replica
+/// default segment size (entries are fsynced per append, as by default).
+void BM_BinlogAppend(benchmark::State& state) {
+  binlog::MemLogStore store;
+  binlog::SegmentedBinlog log(&store, binlog::SegmentedLogOptions{});
+  middleware::GlobalVersion v = 0;
+  for (auto _ : state) {
+    auto s = log.Append(BinlogBenchEntry(++v));
+    benchmark::DoNotOptimize(s);
+    // Bound memory: drop sealed segments as a checkpointing replica would.
+    if (v % 4096 == 0) log.TruncateThrough(v - 1024);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BinlogAppend);
+
+/// One ship tick: append k entries, then read everything new. Arg 1 = 0
+/// resumes one cursor across ticks (the shipper); 1 reopens
+/// Cursor(last shipped) each tick, which walks the active segment from its
+/// start.
+void BM_ShipCursorTick(benchmark::State& state) {
+  const auto k = static_cast<middleware::GlobalVersion>(state.range(0));
+  const bool reopen = state.range(1) != 0;
+  binlog::MemLogStore store;
+  binlog::SegmentedLogOptions opts;
+  opts.segment_max_bytes = 512 * 1024;
+  binlog::SegmentedBinlog log(&store, opts);
+  binlog::LogCursor cursor = log.Cursor(0);
+  middleware::GlobalVersion shipped = 0;
+  middleware::ReplicationEntry entry;
+  for (auto _ : state) {
+    middleware::GlobalVersion head = log.head_version();
+    for (middleware::GlobalVersion v = head + 1; v <= head + k; ++v) {
+      (void)log.Append(BinlogBenchEntry(v));
+    }
+    if (reopen) cursor = log.Cursor(shipped);
+    while (cursor.Next(&entry)) shipped = entry.version;
+    if (log.segments().size() > 8) log.TruncateThrough(shipped - 1);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ShipCursorTick)->Args({11, 0})->Args({11, 1});
+
+/// A replica checkpoint of 20k rows: the engine image plus its log record.
+void BM_Checkpoint20k(benchmark::State& state) {
+  EngineFixture f(20000);
+  binlog::MemLogStore store;
+  binlog::SegmentedBinlog log(&store, binlog::SegmentedLogOptions{});
+  engine::BackupOptions bo;
+  bo.include_metadata = true;
+  bo.include_sequences = true;
+  middleware::GlobalVersion v = 0;
+  for (auto _ : state) {
+    // An entry gives the checkpoint's segment a version span, so the next
+    // checkpoint's truncation releases it and memory stays flat.
+    (void)log.Append(BinlogBenchEntry(++v));
+    binlog::CheckpointRecord cp;
+    cp.version = v;
+    cp.digests = f.db.TableDigests();
+    cp.image = f.db.Backup(bo).TakeValue();
+    auto s = log.AppendCheckpoint(cp);
+    benchmark::DoNotOptimize(s);
+    log.TruncateThrough(v);
+  }
+}
+BENCHMARK(BM_Checkpoint20k)->Unit(benchmark::kMicrosecond);
 
 void BM_ContentHash(benchmark::State& state) {
   EngineFixture f(static_cast<int>(state.range(0)));

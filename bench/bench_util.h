@@ -1,8 +1,9 @@
 #ifndef REPLIDB_BENCH_BENCH_UTIL_H_
 #define REPLIDB_BENCH_BENCH_UTIL_H_
 
+#include <time.h>
+
 #include <algorithm>
-#include <ctime>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -55,10 +57,28 @@ inline bool BenchShortMode() {
   return v != nullptr && *v != '\0';
 }
 
+/// CPU seconds this thread has used. The benches are single-threaded, so
+/// it is the testbed's own cost; the simulated cluster never reads it.
+inline double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// Thread CPU time at each cluster's construction (MakeCluster), so a
+/// report charges a cluster only the CPU spent since it was built — not
+/// process start-up or the clusters a bench ran before it.
+inline std::unordered_map<const Cluster*, double>& ClusterCpuStart() {
+  static std::unordered_map<const Cluster*, double> start;
+  return start;
+}
+
 /// Builds a cluster, loads the workload's schema, starts it.
 inline std::unique_ptr<Cluster> MakeCluster(ClusterOptions opts,
                                             workload::Workload* workload) {
+  double cpu_start = ThreadCpuSeconds();
   auto c = std::make_unique<Cluster>(std::move(opts));
+  ClusterCpuStart()[c.get()] = cpu_start;
   c->Setup(workload->SetupStatements());
   c->Start();
   // Let heartbeats settle before traffic.
@@ -321,10 +341,13 @@ class BenchReport {
                   static_cast<double>(committed_txns)
             : 0.0);
     Set("sim_events", static_cast<double>(c.sim.events_executed()));
-    // CPU seconds since process start — the only wall-dependent metric in
-    // the report; benchdiff treats events_per_sec as informational.
-    double cpu_sec =
-        static_cast<double>(std::clock()) / static_cast<double>(CLOCKS_PER_SEC);
+    // The cluster's events over the thread CPU spent since MakeCluster
+    // built it — the only CPU-dependent metric in the report; benchdiff
+    // treats events_per_sec as informational.
+    auto start = ClusterCpuStart().find(&c);
+    double cpu_sec = start == ClusterCpuStart().end()
+                         ? 0.0
+                         : ThreadCpuSeconds() - start->second;
     Set("events_per_sec",
         cpu_sec > 0 ? static_cast<double>(c.sim.events_executed()) / cpu_sec
                     : 0.0);

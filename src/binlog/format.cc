@@ -15,10 +15,8 @@ namespace {
 // framing around the shared entry payload.
 // ---------------------------------------------------------------------------
 
-void PutFixed32(uint32_t v, std::string* out) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(buf, 4);
+void SetFixed32(uint32_t v, char* p) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
 uint32_t GetFixed32(const char* p) {
@@ -165,41 +163,89 @@ sql::Row GetRow(Reader* r) {
 
 constexpr uint32_t kCrcTableSeed = 0xedb88320u;  // Reflected IEEE poly.
 
-}  // namespace
+/// Slicing-by-8 tables: table[0] is the classic byte-at-a-time table, and
+/// table[k][b] advances the CRC of byte b over k more zero bytes, so
+/// eight lookups fold eight input bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
 
-uint32_t Crc32(std::string_view data) {
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
+const CrcTables& Crc32Tables() {
+  static const CrcTables tables = [] {
+    CrcTables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? (kCrcTableSeed ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (size_t k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+      }
     }
     return t;
   }();
-  uint32_t crc = 0xffffffffu;
-  for (char ch : data) {
-    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xff] ^ (crc >> 8);
+  return tables;
+}
+
+// Frame header field offsets (see format.h).
+constexpr size_t kTypeOffset = 4;
+constexpr size_t kLenOffset = 6;
+constexpr size_t kCrcOffset = 10;
+/// The CRC covers type+flags+len+payload, i.e. everything after the crc
+/// field itself; magic is a frame-sync aid, not integrity data.
+constexpr size_t kCoveredHeaderBytes = kCrcOffset - kTypeOffset;
+
+uint32_t FrameCrc(std::string_view frame_header, std::string_view payload) {
+  return Crc32Extend(
+      Crc32(frame_header.substr(kTypeOffset, kCoveredHeaderBytes)), payload);
+}
+
+}  // namespace
+
+uint32_t Crc32(std::string_view data) { return Crc32Extend(0, data); }
+
+uint32_t Crc32Extend(uint32_t crc, std::string_view data) {
+  const CrcTables& t = Crc32Tables();
+  const char* p = data.data();
+  size_t n = data.size();
+  uint32_t c = crc ^ 0xffffffffu;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo = GetFixed32(p) ^ c;
+    uint32_t hi = GetFixed32(p + 4);
+    c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+        t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
   }
-  return crc ^ 0xffffffffu;
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ static_cast<unsigned char>(*p)) & 0xff] ^ (c >> 8);
+  }
+  return c ^ 0xffffffffu;
 }
 
 void PutRecord(RecordType type, std::string_view payload, std::string* out) {
-  // CRC covers type+flags+len+payload, i.e. everything after the crc
-  // field itself; magic is a frame-sync aid, not integrity data.
-  std::string covered;
-  covered.reserve(6 + payload.size());
-  covered.push_back(static_cast<char>(type));
-  covered.push_back(0);  // flags
-  PutFixed32(static_cast<uint32_t>(payload.size()), &covered);
-  covered.append(payload.data(), payload.size());
-
-  PutFixed32(kRecordMagic, out);
-  out->append(covered, 0, 6);
-  PutFixed32(Crc32(covered), out);
+  size_t start = out->size();
+  out->append(kRecordHeaderBytes, '\0');
   out->append(payload.data(), payload.size());
+  SealRecord(type, start, out);
+}
+
+void SealRecord(RecordType type, size_t frame_start, std::string* out) {
+  char* frame = out->data() + frame_start;
+  size_t len = out->size() - frame_start - kRecordHeaderBytes;
+  SetFixed32(kRecordMagic, frame);
+  frame[kTypeOffset] = static_cast<char>(type);
+  frame[kTypeOffset + 1] = 0;  // flags
+  SetFixed32(static_cast<uint32_t>(len), frame + kLenOffset);
+  std::string_view header(frame, kRecordHeaderBytes);
+  std::string_view payload(frame + kRecordHeaderBytes, len);
+  SetFixed32(FrameCrc(header, payload), frame + kCrcOffset);
+}
+
+size_t RecordFrameBytes(std::string_view data) {
+  if (data.size() < kRecordHeaderBytes) return 0;
+  if (GetFixed32(data.data()) != kRecordMagic) return 0;
+  return kRecordHeaderBytes + GetFixed32(data.data() + kLenOffset);
 }
 
 Status ParseRecord(std::string_view data, RecordView* out) {
@@ -209,17 +255,13 @@ Status ParseRecord(std::string_view data, RecordView* out) {
   if (GetFixed32(data.data()) != kRecordMagic) {
     return Status::InvalidArgument("binlog record: bad magic");
   }
-  uint8_t type = static_cast<uint8_t>(data[4]);
-  uint32_t len = GetFixed32(data.data() + 6);
-  uint32_t crc = GetFixed32(data.data() + 10);
+  uint8_t type = static_cast<uint8_t>(data[kTypeOffset]);
+  uint32_t len = GetFixed32(data.data() + kLenOffset);
+  uint32_t crc = GetFixed32(data.data() + kCrcOffset);
   if (data.size() < kRecordHeaderBytes + len) {
     return Status::InvalidArgument("binlog record: torn payload");
   }
-  std::string covered;
-  covered.reserve(6 + len);
-  covered.append(data.data() + 4, 6);  // type+flags+len, as written.
-  covered.append(data.data() + kRecordHeaderBytes, len);
-  if (Crc32(covered) != crc) {
+  if (FrameCrc(data, data.substr(kRecordHeaderBytes, len)) != crc) {
     return Status::InvalidArgument("binlog record: CRC mismatch");
   }
   if (type != static_cast<uint8_t>(RecordType::kEntry) &&
@@ -253,49 +295,53 @@ Result<middleware::ReplicationEntry> DecodeEntryPayload(
 
 std::string EncodeCheckpointPayload(const CheckpointRecord& cp) {
   std::string out;
-  PutVarint(cp.version, &out);
-  PutFixed64(static_cast<uint64_t>(cp.taken_at_us), &out);
-  PutVarint(cp.digests.size(), &out);
+  AppendCheckpointPayload(cp, &out);
+  return out;
+}
+
+void AppendCheckpointPayload(const CheckpointRecord& cp, std::string* out) {
+  PutVarint(cp.version, out);
+  PutFixed64(static_cast<uint64_t>(cp.taken_at_us), out);
+  PutVarint(cp.digests.size(), out);
   for (const auto& [table, digest] : cp.digests) {
-    PutString(table, &out);
-    PutFixed64(digest, &out);
+    PutString(table, out);
+    PutFixed64(digest, out);
   }
   const engine::BackupImage& img = cp.image;
-  PutString(img.source_name, &out);
-  PutVarint(img.as_of, &out);
-  out.push_back(img.has_metadata ? 1 : 0);
-  out.push_back(img.has_sequences ? 1 : 0);
-  PutVarint(img.databases.size(), &out);
+  PutString(img.source_name, out);
+  PutVarint(img.as_of, out);
+  out->push_back(img.has_metadata ? 1 : 0);
+  out->push_back(img.has_sequences ? 1 : 0);
+  PutVarint(img.databases.size(), out);
   for (const auto& db : img.databases) {
-    PutString(db.name, &out);
-    PutVarint(db.tables.size(), &out);
+    PutString(db.name, out);
+    PutVarint(db.tables.size(), out);
     for (const auto& t : db.tables) {
-      PutString(t.schema.name, &out);
-      PutVarint(t.schema.columns.size(), &out);
+      PutString(t.schema.name, out);
+      PutVarint(t.schema.columns.size(), out);
       for (const sql::ColumnDef& c : t.schema.columns) {
-        PutString(c.name, &out);
-        out.push_back(static_cast<char>(c.type));
+        PutString(c.name, out);
+        out->push_back(static_cast<char>(c.type));
         uint8_t bits = (c.primary_key ? 1 : 0) | (c.auto_increment ? 2 : 0) |
                        (c.unique ? 4 : 0) | (c.not_null ? 8 : 0);
-        out.push_back(static_cast<char>(bits));
+        out->push_back(static_cast<char>(bits));
       }
-      PutFixed64(static_cast<uint64_t>(t.schema.primary_key_index), &out);
-      out.push_back(t.schema.temporary ? 1 : 0);
-      PutFixed64(static_cast<uint64_t>(t.auto_increment), &out);
-      PutVarint(t.rows.size(), &out);
-      for (const sql::Row& row : t.rows) PutRow(row, &out);
+      PutFixed64(static_cast<uint64_t>(t.schema.primary_key_index), out);
+      out->push_back(t.schema.temporary ? 1 : 0);
+      PutFixed64(static_cast<uint64_t>(t.auto_increment), out);
+      PutVarint(t.rows.size(), out);
+      for (const sql::Row& row : t.rows) PutRow(row, out);
     }
-    PutVarint(db.sequences.size(), &out);
+    PutVarint(db.sequences.size(), out);
     for (const auto& [name, next] : db.sequences) {
-      PutString(name, &out);
-      PutFixed64(static_cast<uint64_t>(next), &out);
+      PutString(name, out);
+      PutFixed64(static_cast<uint64_t>(next), out);
     }
   }
-  PutVarint(img.users.size(), &out);
-  for (const std::string& u : img.users) PutString(u, &out);
-  PutVarint(img.trigger_names.size(), &out);
-  for (const std::string& t : img.trigger_names) PutString(t, &out);
-  return out;
+  PutVarint(img.users.size(), out);
+  for (const std::string& u : img.users) PutString(u, out);
+  PutVarint(img.trigger_names.size(), out);
+  for (const std::string& t : img.trigger_names) PutString(t, out);
 }
 
 Result<CheckpointRecord> DecodeCheckpointPayload(std::string_view payload) {

@@ -33,6 +33,11 @@ namespace replidb::binlog {
 /// runs for the determinism harness to compare them.
 uint32_t Crc32(std::string_view data);
 
+/// Continues a CRC-32 over more bytes: Crc32Extend(Crc32(a), b) equals
+/// Crc32(a + b), and Crc32Extend(0, b) equals Crc32(b). Lets a frame's
+/// checksum cover header and payload in place, without concatenating them.
+uint32_t Crc32Extend(uint32_t crc, std::string_view data);
+
 enum class RecordType : uint8_t {
   kEntry = 1,       ///< One middleware::ReplicationEntry.
   kCheckpoint = 2,  ///< Engine snapshot + per-table digests.
@@ -44,6 +49,17 @@ inline constexpr uint32_t kRecordMagic = 0x52424c47;  // "RBLG".
 
 /// Appends one framed record to `out`.
 void PutRecord(RecordType type, std::string_view payload, std::string* out);
+
+/// Frames a payload already written in place: `out` holds a
+/// kRecordHeaderBytes placeholder at `frame_start` followed by the payload,
+/// which runs to the end of `out`. Fills in the header. PutRecord is this
+/// plus the copy of the payload.
+void SealRecord(RecordType type, size_t frame_start, std::string* out);
+
+/// Frame size (header + payload) announced by the record header at the
+/// head of `data`, or 0 when `data` is shorter than a header or does not
+/// start with the magic. The frame itself is not validated.
+size_t RecordFrameBytes(std::string_view data);
 
 /// A parsed frame pointing into the caller's buffer.
 struct RecordView {
@@ -83,6 +99,9 @@ struct CheckpointRecord {
 };
 
 std::string EncodeCheckpointPayload(const CheckpointRecord& cp);
+/// Appends the checkpoint payload to `out` (EncodeCheckpointPayload's
+/// bytes), so a caller can encode straight into a frame buffer.
+void AppendCheckpointPayload(const CheckpointRecord& cp, std::string* out);
 Result<CheckpointRecord> DecodeCheckpointPayload(std::string_view payload);
 
 }  // namespace replidb::binlog

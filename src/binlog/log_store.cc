@@ -61,10 +61,13 @@ Status MemLogStore::Sync(uint64_t segment) {
   return Status::OK();
 }
 
-Result<std::string> MemLogStore::Read(uint64_t segment) const {
+Result<std::string> MemLogStore::Read(uint64_t segment, uint64_t offset,
+                                      uint64_t max_bytes) const {
   auto it = segments_.find(segment);
   if (it == segments_.end()) return Status::NotFound("no such segment");
-  return it->second.data;
+  const std::string& data = it->second.data;
+  if (offset >= data.size()) return std::string();
+  return data.substr(offset, max_bytes);
 }
 
 Status MemLogStore::Truncate(uint64_t segment, uint64_t size) {
@@ -225,13 +228,22 @@ Status FileLogStore::Sync(uint64_t segment) {
   return Status::OK();
 }
 
-Result<std::string> FileLogStore::Read(uint64_t segment) const {
+Result<std::string> FileLogStore::Read(uint64_t segment, uint64_t offset,
+                                       uint64_t max_bytes) const {
   std::FILE* f = std::fopen(SegmentPath(segment).c_str(), "rb");
   if (f == nullptr) return Status::NotFound("no such segment file");
   std::string data;
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
+  if (std::fseek(f, static_cast<long>(offset), SEEK_SET) == 0) {
+    char buf[1 << 16];
+    size_t n = 0;
+    while (data.size() < max_bytes &&
+           (n = std::fread(buf, 1,
+                           std::min<uint64_t>(sizeof(buf),
+                                              max_bytes - data.size()),
+                           f)) > 0) {
+      data.append(buf, n);
+    }
+  }
   std::fclose(f);
   return data;
 }

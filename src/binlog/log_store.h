@@ -36,8 +36,16 @@ class LogStore {
   /// injected partial-fsync fault silently dropped a tail — that is the
   /// point of the fault.
   virtual Status Sync(uint64_t segment) = 0;
-  /// Full current contents (durable + not-yet-dropped unsynced bytes).
-  virtual Result<std::string> Read(uint64_t segment) const = 0;
+  /// Up to `max_bytes` of the current contents (durable + not-yet-dropped
+  /// unsynced bytes) starting at `offset`; empty when `offset` is at or
+  /// past the end. Readers that resume or address one record pay for the
+  /// bytes they need, not for the whole segment.
+  virtual Result<std::string> Read(uint64_t segment, uint64_t offset,
+                                   uint64_t max_bytes) const = 0;
+  /// Full current contents.
+  Result<std::string> Read(uint64_t segment) const {
+    return Read(segment, 0, UINT64_MAX);
+  }
   virtual Status Truncate(uint64_t segment, uint64_t size) = 0;
   virtual Status Delete(uint64_t segment) = 0;
   /// Existing segment numbers, ascending.
@@ -90,10 +98,12 @@ class LogStore {
 /// not the machine losing its disk) minus whatever DropUnsynced takes.
 class MemLogStore final : public LogStore {
  public:
+  using LogStore::Read;
   Status Create(uint64_t segment) override;
   Status Append(uint64_t segment, std::string_view data) override;
   Status Sync(uint64_t segment) override;
-  Result<std::string> Read(uint64_t segment) const override;
+  Result<std::string> Read(uint64_t segment, uint64_t offset,
+                           uint64_t max_bytes) const override;
   Status Truncate(uint64_t segment, uint64_t size) override;
   Status Delete(uint64_t segment) override;
   std::vector<uint64_t> List() const override;
@@ -126,10 +136,12 @@ class FileLogStore final : public LogStore {
   /// Scans the directory; fails if it cannot be created/read.
   Status Open();
 
+  using LogStore::Read;
   Status Create(uint64_t segment) override;
   Status Append(uint64_t segment, std::string_view data) override;
   Status Sync(uint64_t segment) override;
-  Result<std::string> Read(uint64_t segment) const override;
+  Result<std::string> Read(uint64_t segment, uint64_t offset,
+                           uint64_t max_bytes) const override;
   Status Truncate(uint64_t segment, uint64_t size) override;
   Status Delete(uint64_t segment) override;
   std::vector<uint64_t> List() const override;

@@ -18,9 +18,7 @@ Status SegmentedBinlog::RollOver() {
   return Status::OK();
 }
 
-Status SegmentedBinlog::AppendRecord(RecordType type,
-                                     const std::string& payload,
-                                     bool force_sync, LogPosition* pos_out) {
+Status SegmentedBinlog::WriteFrame(bool force_sync, LogPosition* pos_out) {
   if (segments_.empty() ||
       static_cast<int64_t>(segments_.back().bytes) >=
           options_.segment_max_bytes) {
@@ -32,18 +30,30 @@ Status SegmentedBinlog::AppendRecord(RecordType type,
     REPLIDB_RETURN_NOT_OK(RollOver());
   }
   SegmentInfo& active = segments_.back();
-  std::string frame;
-  PutRecord(type, payload, &frame);
   if (pos_out != nullptr) {
     pos_out->segment = active.segment;
     pos_out->offset = active.bytes;
   }
-  REPLIDB_RETURN_NOT_OK(store_->Append(active.segment, frame));
+  REPLIDB_RETURN_NOT_OK(store_->Append(active.segment, frame_));
   if (options_.sync_every_append || force_sync) {
     REPLIDB_RETURN_NOT_OK(store_->Sync(active.segment));
   }
-  active.bytes += frame.size();
+  active.bytes += frame_.size();
   ++active.records;
+  return Status::OK();
+}
+
+Status SegmentedBinlog::AppendEntryRecord(
+    const middleware::ReplicationEntry& entry, LogPosition* pos_out) {
+  frame_.clear();
+  PutRecord(RecordType::kEntry, EncodeEntryPayload(entry), &frame_);
+  LogPosition pos;
+  REPLIDB_RETURN_NOT_OK(WriteFrame(/*force_sync=*/false, &pos));
+  SegmentInfo& active = segments_.back();
+  if (active.base_version == 0) active.base_version = entry.version;
+  active.last_version = std::max(active.last_version, entry.version);
+  head_version_ = std::max(head_version_, entry.version);
+  if (pos_out != nullptr) *pos_out = pos;
   return Status::OK();
 }
 
@@ -53,16 +63,7 @@ Status SegmentedBinlog::Append(const middleware::ReplicationEntry& entry,
     return Status::InvalidArgument("binlog append: version 0");
   }
   if (entry.version <= head_version_) return Status::OK();  // Duplicate.
-  LogPosition pos;
-  REPLIDB_RETURN_NOT_OK(
-      AppendRecord(RecordType::kEntry, EncodeEntryPayload(entry),
-                   /*force_sync=*/false, &pos));
-  SegmentInfo& active = segments_.back();
-  if (active.base_version == 0) active.base_version = entry.version;
-  active.last_version = entry.version;
-  head_version_ = entry.version;
-  if (pos_out != nullptr) *pos_out = pos;
-  return Status::OK();
+  return AppendEntryRecord(entry, pos_out);
 }
 
 Status SegmentedBinlog::AppendSuperseding(
@@ -70,38 +71,40 @@ Status SegmentedBinlog::AppendSuperseding(
   if (entry.version == 0) {
     return Status::InvalidArgument("binlog append: version 0");
   }
-  LogPosition pos;
-  REPLIDB_RETURN_NOT_OK(
-      AppendRecord(RecordType::kEntry, EncodeEntryPayload(entry),
-                   /*force_sync=*/false, &pos));
-  SegmentInfo& active = segments_.back();
-  if (active.base_version == 0) active.base_version = entry.version;
-  active.last_version = std::max(active.last_version, entry.version);
-  head_version_ = std::max(head_version_, entry.version);
-  if (pos_out != nullptr) *pos_out = pos;
-  return Status::OK();
+  return AppendEntryRecord(entry, pos_out);
 }
 
 Status SegmentedBinlog::AppendCheckpoint(const CheckpointRecord& cp) {
-  REPLIDB_RETURN_NOT_OK(AppendRecord(RecordType::kCheckpoint,
-                                     EncodeCheckpointPayload(cp),
-                                     /*force_sync=*/true, nullptr));
+  // Encode the image straight into the frame buffer behind a header
+  // placeholder: no payload temporary, no copy into a frame.
+  frame_.clear();
+  frame_.append(kRecordHeaderBytes, '\0');
+  AppendCheckpointPayload(cp, &frame_);
+  SealRecord(RecordType::kCheckpoint, 0, &frame_);
+  REPLIDB_RETURN_NOT_OK(WriteFrame(/*force_sync=*/true, nullptr));
   segments_.back().has_checkpoint = true;
-  latest_checkpoint_ = cp;
   have_checkpoint_ = true;
+  checkpoint_version_ = cp.version;
+  checkpoint_at_us_ = cp.taken_at_us;
   return Status::OK();
 }
 
 Result<middleware::ReplicationEntry> SegmentedBinlog::ReadAt(
     const LogPosition& pos) const {
-  Result<std::string> data = store_->Read(pos.segment);
+  // Read the header, then exactly the frame it announces.
+  Result<std::string> data =
+      store_->Read(pos.segment, pos.offset, kRecordHeaderBytes);
   REPLIDB_RETURN_NOT_OK(data.status());
-  if (pos.offset >= data.value().size()) {
+  if (data.value().empty()) {
     return Status::InvalidArgument("binlog read: offset beyond segment");
   }
+  size_t frame_bytes = RecordFrameBytes(data.value());
+  if (frame_bytes > data.value().size()) {
+    data = store_->Read(pos.segment, pos.offset, frame_bytes);
+    REPLIDB_RETURN_NOT_OK(data.status());
+  }
   RecordView view;
-  REPLIDB_RETURN_NOT_OK(ParseRecord(
-      std::string_view(data.value()).substr(pos.offset), &view));
+  REPLIDB_RETURN_NOT_OK(ParseRecord(data.value(), &view));
   if (view.type != RecordType::kEntry) {
     return Status::InvalidArgument("binlog read: not an entry record");
   }
@@ -109,10 +112,12 @@ Result<middleware::ReplicationEntry> SegmentedBinlog::ReadAt(
 }
 
 Result<RecoveryInfo> SegmentedBinlog::Recover() {
+  ++generation_;
   segments_.clear();
   head_version_ = 0;
   have_checkpoint_ = false;
-  latest_checkpoint_ = CheckpointRecord{};
+  checkpoint_version_ = 0;
+  checkpoint_at_us_ = -1;
 
   RecoveryInfo info;
   std::vector<uint64_t> listed = store_->List();
@@ -169,8 +174,10 @@ Result<RecoveryInfo> SegmentedBinlog::Recover() {
           break;
         }
         si.has_checkpoint = true;
-        latest_checkpoint_ = std::move(cp.value());
         have_checkpoint_ = true;
+        checkpoint_version_ = cp.value().version;
+        checkpoint_at_us_ = cp.value().taken_at_us;
+        info.checkpoint = cp.TakeValue();
       }
       ++si.records;
       offset += view.frame_bytes;
@@ -190,7 +197,6 @@ Result<RecoveryInfo> SegmentedBinlog::Recover() {
   info.segments = segments_.size();
   info.last_version = head_version_;
   info.have_checkpoint = have_checkpoint_;
-  if (have_checkpoint_) info.checkpoint = latest_checkpoint_;
   Result<std::string> wm = store_->ReadMeta(kWatermarkKey);
   if (wm.ok()) {
     info.meta_watermark = 0;
@@ -241,8 +247,8 @@ BinlogStats SegmentedBinlog::Stats() const {
   st.last_version = head_version_;
   st.truncate_watermark = truncate_watermark_;
   if (have_checkpoint_) {
-    st.checkpoint_version = latest_checkpoint_.version;
-    st.checkpoint_at_us = latest_checkpoint_.taken_at_us;
+    st.checkpoint_version = checkpoint_version_;
+    st.checkpoint_at_us = checkpoint_at_us_;
   }
   return st;
 }
@@ -253,55 +259,96 @@ BinlogStats SegmentedBinlog::Stats() const {
 
 LogCursor::LogCursor(const SegmentedBinlog* log,
                      middleware::GlobalVersion after)
-    : log_(log), after_(after) {
-  // Segment-index seek (the bl_ctx idiom): skip whole segments whose
-  // entire version span is <= after.
-  while (segment_index_ + 1 < log_->segments_.size()) {
-    const SegmentInfo& s = log_->segments_[segment_index_];
+    : log_(log), after_(after), highest_(after) {
+  Seek();
+}
+
+void LogCursor::Seek() {
+  generation_ = log_->generation_;
+  buffer_.clear();
+  const std::vector<SegmentInfo>& segments = log_->segments_;
+  size_t i = 0;
+  while (i + 1 < segments.size()) {
+    const SegmentInfo& s = segments[i];
     if (s.last_version != 0 && s.last_version > after_) break;
     if (s.last_version == 0 && s.records == 0) break;  // Empty active tail.
-    ++segment_index_;
+    ++i;
   }
+  // An empty log positions before segment 0; Locate() moves to whichever
+  // segment the first append creates.
+  position_ = LogPosition{segments.empty() ? 0 : segments[i].segment, 0};
+}
+
+const SegmentInfo* LogCursor::Locate() {
+  const std::vector<SegmentInfo>& segments = log_->segments_;
+  auto it = std::lower_bound(
+      segments.begin(), segments.end(), position_.segment,
+      [](const SegmentInfo& s, uint64_t seg) { return s.segment < seg; });
+  if (it == segments.end()) return nullptr;
+  if (it->segment != position_.segment) {
+    // TruncateThrough deleted this segment: continue at the next one.
+    position_ = LogPosition{it->segment, 0};
+    buffer_.clear();
+  }
+  return &*it;
 }
 
 bool LogCursor::Next(middleware::ReplicationEntry* out) {
-  while (segment_index_ < log_->segments_.size()) {
-    const SegmentInfo& seg = log_->segments_[segment_index_];
-    if (!buffer_valid_) {
-      Result<std::string> data = log_->store_->Read(seg.segment);
-      if (!data.ok()) {
-        status_ = data.status();
-        return false;
+  status_ = Status::OK();
+  if (generation_ != log_->generation_) {
+    after_ = highest_;
+    Seek();
+  }
+  while (const SegmentInfo* seg = Locate()) {
+    while (position_.offset < seg->bytes) {
+      // Unsigned: also true for a position below buffer_start_.
+      if (position_.offset - buffer_start_ >= buffer_.size()) {
+        // Read only what lies past the position: the bytes appended since
+        // the last read, or the rest of a segment entered at a seek.
+        Result<std::string> data = log_->store_->Read(
+            seg->segment, position_.offset, seg->bytes - position_.offset);
+        if (!data.ok()) {
+          status_ = data.status();
+          break;
+        }
+        buffer_ = std::move(data.value());
+        buffer_start_ = position_.offset;
+        // The in-memory index may be ahead of the durable bytes when the
+        // store lost an unsynced tail: the segment ends here.
+        if (buffer_.empty()) break;
       }
-      buffer_ = std::move(data.value());
-      buffer_valid_ = true;
-      offset_ = 0;
-    }
-    // The in-memory index may be ahead of the durable bytes when the
-    // store lost an unsynced tail; stop at whichever ends first.
-    uint64_t limit = std::min<uint64_t>(buffer_.size(), seg.bytes);
-    while (offset_ < limit) {
       RecordView view;
-      Status s = ParseRecord(std::string_view(buffer_).substr(offset_), &view);
+      Status s = ParseRecord(std::string_view(buffer_).substr(
+                                 position_.offset - buffer_start_),
+                             &view);
       if (!s.ok()) {
         status_ = s;
-        return false;
+        break;
       }
-      offset_ += view.frame_bytes;
-      if (view.type != RecordType::kEntry) continue;
+      if (view.type != RecordType::kEntry) {
+        position_.offset += view.frame_bytes;
+        continue;
+      }
       Result<middleware::ReplicationEntry> entry =
           DecodeEntryPayload(view.payload);
       if (!entry.ok()) {
         status_ = entry.status();
-        return false;
+        break;
       }
+      position_.offset += view.frame_bytes;
       if (entry.value().version <= after_) continue;
-      *out = std::move(entry.value());
+      highest_ = std::max(highest_, entry.value().version);
+      *out = entry.TakeValue();
       return true;
     }
-    ++segment_index_;
-    buffer_valid_ = false;
+    if (!status_.ok() || seg == &log_->segments_.back()) break;
+    // Sealed (or cut short by a lost tail): go on to the next segment.
+    position_ = LogPosition{(seg + 1)->segment, 0};
+    buffer_.clear();
   }
+  // Nothing buffered survives a false return, so the next call reads what
+  // the store holds then.
+  buffer_.clear();
   return false;
 }
 

@@ -74,10 +74,24 @@ class SegmentedBinlog;
 /// \brief Forward iterator over entry records with version > `after`,
 /// decoding frames straight from the LogStore segment bytes (shipping and
 /// resync read the log through this — never through in-memory vectors).
+///
+/// The cursor is resumable: its position is a segment *number* plus the
+/// offset of the next unread frame, and Next() after end-of-log picks up
+/// whatever was appended since, reading only those new bytes. A cursor
+/// kept across appends yields exactly what a fresh Cursor(v) would, where
+/// v is the highest version it has returned (or `after` if none), on a log
+/// whose entry versions increase in log order (SegmentedBinlog::Append's
+/// contract):
+///  - rollover: it moves to the next segment once its own is sealed;
+///  - TruncateThrough deleting its segment: it continues at the start of
+///    the next surviving segment;
+///  - Recover(): the log's bytes may have been cut under it, so it seeks
+///    afresh, as Cursor(v).
 class LogCursor {
  public:
   /// Advances to the next entry; false at end-of-log or on a decode error
-  /// (check status()). Checkpoint records are skipped.
+  /// (check status()). Checkpoint records are skipped. After a false
+  /// return, a later call resumes at the same position.
   bool Next(middleware::ReplicationEntry* out);
   const Status& status() const { return status_; }
 
@@ -85,12 +99,21 @@ class LogCursor {
   friend class SegmentedBinlog;
   LogCursor(const SegmentedBinlog* log, middleware::GlobalVersion after);
 
+  /// Positions at the first segment that can hold a version > after_
+  /// (the bl_ctx idiom: skip whole segments by their version span).
+  void Seek();
+  /// The index entry of the segment holding position_, moving position_
+  /// to the start of the next surviving segment when its own was deleted.
+  /// Null when no such segment exists.
+  const SegmentInfo* Locate();
+
   const SegmentedBinlog* log_ = nullptr;
   middleware::GlobalVersion after_ = 0;
-  size_t segment_index_ = 0;  ///< Index into log_->segments_.
-  uint64_t offset_ = 0;
-  std::string buffer_;        ///< Current segment's bytes.
-  bool buffer_valid_ = false;
+  middleware::GlobalVersion highest_ = 0;  ///< Highest version returned.
+  uint64_t generation_ = 0;  ///< log_->generation_ at the last seek.
+  LogPosition position_;     ///< Next unread frame.
+  std::string buffer_;       ///< Segment bytes read from buffer_start_ on.
+  uint64_t buffer_start_ = 0;
   Status status_;
 };
 
@@ -159,8 +182,12 @@ class SegmentedBinlog {
  private:
   friend class LogCursor;
 
-  Status AppendRecord(RecordType type, const std::string& payload,
-                      bool force_sync, LogPosition* pos_out);
+  /// Writes the one frame held in frame_ to the active segment, rolling
+  /// over first if it is full.
+  Status WriteFrame(bool force_sync, LogPosition* pos_out);
+  /// Frames and writes an entry record and indexes its version.
+  Status AppendEntryRecord(const middleware::ReplicationEntry& entry,
+                           LogPosition* pos_out);
   Status RollOver();
 
   LogStore* store_;
@@ -168,9 +195,19 @@ class SegmentedBinlog {
   std::vector<SegmentInfo> segments_;  ///< Ascending; back() is active.
   middleware::GlobalVersion head_version_ = 0;
   middleware::GlobalVersion truncate_watermark_ = 0;
-  CheckpointRecord latest_checkpoint_;
+  /// Only the latest checkpoint's version and time stay in memory: the
+  /// image lives in the log, and Recover() reads it back from there.
   bool have_checkpoint_ = false;
+  middleware::GlobalVersion checkpoint_version_ = 0;
+  int64_t checkpoint_at_us_ = -1;
   uint64_t next_segment_ = 0;
+  /// Bumped by Recover(): cursors re-seek, since the bytes under their
+  /// positions may have been truncated.
+  uint64_t generation_ = 0;
+  /// Every record is framed here before it is written. Reusing the buffer
+  /// saves an allocation per record once it has grown to the largest
+  /// record (a checkpoint).
+  std::string frame_;
 };
 
 }  // namespace replidb::binlog

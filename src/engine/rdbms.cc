@@ -1483,12 +1483,7 @@ Result<BackupImage> Rdbms::Backup(const BackupOptions& opts) const {
       (void)tname;
       BackupImage::TableImage ti;
       ti.schema = table->schema();
-      std::vector<std::pair<RowId, sql::Row>> rows;
-      table->Scan(view, &rows, nullptr);
-      for (auto& [rid, row] : rows) {
-        (void)rid;
-        ti.rows.push_back(std::move(row));
-      }
+      table->ScanRows(view, &ti.rows);
       if (opts.include_sequences) {
         ti.auto_increment = table->auto_increment_counter();
       }

@@ -296,28 +296,42 @@ void VersionedTable::UndoDelete(TxnId txn, RowId row_id) {
   }
 }
 
-void VersionedTable::Scan(const TxnView& txn,
-                          std::vector<std::pair<RowId, sql::Row>>* out,
-                          ExecStats* stats) const {
-  std::vector<std::pair<uint64_t, std::pair<RowId, const sql::Row*>>> hits;
+std::vector<VersionedTable::ScanHit> VersionedTable::PhysicalOrder(
+    const TxnView& txn, ExecStats* stats) const {
+  std::vector<ScanHit> hits;
   for (const auto& [rid, chain] : rows_) {
     if (stats) stats->rows_scanned += chain.versions.size();
     int idx = VisibleIndex(txn, chain);
     if (idx >= 0) {
-      hits.emplace_back(Mix64(rid ^ physical_seed_),
-                        std::make_pair(rid, &chain.versions[idx].data));
+      hits.push_back({Mix64(rid ^ physical_seed_), rid,
+                      &chain.versions[idx].data});
     }
   }
   // "Physical" order: a seeded shuffle standing in for page layout. Two
   // replicas with different seeds return unordered scans differently —
   // which is legal SQL, and the root of the LIMIT divergence of §4.3.2.
-  std::sort(hits.begin(), hits.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::sort(hits.begin(), hits.end(), [](const ScanHit& a, const ScanHit& b) {
+    return a.order < b.order;
+  });
+  return hits;
+}
+
+void VersionedTable::Scan(const TxnView& txn,
+                          std::vector<std::pair<RowId, sql::Row>>* out,
+                          ExecStats* stats) const {
+  std::vector<ScanHit> hits = PhysicalOrder(txn, stats);
   out->reserve(out->size() + hits.size());
-  for (auto& h : hits) {
-    out->emplace_back(h.second.first, *h.second.second);
+  for (const ScanHit& h : hits) {
+    out->emplace_back(h.row_id, *h.row);
     if (stats) stats->rows_returned += 1;
   }
+}
+
+void VersionedTable::ScanRows(const TxnView& txn,
+                              std::vector<sql::Row>* out) const {
+  std::vector<ScanHit> hits = PhysicalOrder(txn, nullptr);
+  out->reserve(out->size() + hits.size());
+  for (const ScanHit& h : hits) out->push_back(*h.row);
 }
 
 Result<sql::Row> VersionedTable::Get(const TxnView& txn, RowId row_id) const {

@@ -77,6 +77,10 @@ class VersionedTable {
             std::vector<std::pair<RowId, sql::Row>>* out,
             ExecStats* stats) const;
 
+  /// Scan's rows without their ids, in the same physical order (backup
+  /// images carry rows only).
+  void ScanRows(const TxnView& txn, std::vector<sql::Row>* out) const;
+
   /// Fetches the version of `row_id` visible to `txn`.
   Result<sql::Row> Get(const TxnView& txn, RowId row_id) const;
 
@@ -131,6 +135,16 @@ class VersionedTable {
   struct Chain {
     std::vector<Version> versions;  ///< Oldest first.
   };
+  /// One visible row and its physical-order sort key.
+  struct ScanHit {
+    uint64_t order = 0;
+    RowId row_id = 0;
+    const sql::Row* row = nullptr;
+  };
+
+  /// The rows visible to `txn`, sorted into physical order.
+  std::vector<ScanHit> PhysicalOrder(const TxnView& txn,
+                                     ExecStats* stats) const;
 
   /// Visibility of one version for `txn`.
   bool Visible(const TxnView& txn, const Version& v) const;

@@ -95,6 +95,7 @@ ReplicaNode::ReplicaNode(sim::Simulator* sim, net::Network* network,
   log_opts.sync_every_append = options_.binlog.sync_every_append;
   durable_log_ =
       std::make_unique<binlog::SegmentedBinlog>(log_store_.get(), log_opts);
+  ResetShipCursor();
   hb_responder_ = std::make_unique<net::HeartbeatResponder>(sim_, dispatcher_.get());
   ka_responder_ = std::make_unique<net::TcpKeepAliveResponder>(dispatcher_.get());
 
@@ -163,6 +164,7 @@ void ReplicaNode::SetSubscribers(std::vector<net::NodeId> subscribers) {
     // applied as a slave — the cluster has those entries. Ship only what
     // commits from here on.
     last_shipped_ = std::max(last_shipped_, durable_log_->head_version());
+    ResetShipCursor();
   }
 }
 
@@ -245,6 +247,7 @@ void ReplicaNode::Crash() {
     log_opts.sync_every_append = options_.binlog.sync_every_append;
     durable_log_ =
         std::make_unique<binlog::SegmentedBinlog>(log_store_.get(), log_opts);
+    ResetShipCursor();
     writeset_table_ = binlog::WritesetTable();
     entries_since_checkpoint_ = 0;
     prev_checkpoint_version_ = 0;
@@ -921,12 +924,13 @@ void ReplicaNode::ShipCommitted(int sync_acks_for_version,
     binlog_shipped_index_ = binlog.size();
   }
   // Stage 2 — ship from the durable log: the pipeline reads a cursor over
-  // the on-disk segments, never the engine's in-memory vector.
+  // the on-disk segments, never the engine's in-memory vector. The cursor
+  // resumes where the last tick stopped, so a tick decodes only the
+  // entries committed since.
   bool sync_version_covered = false;
   if (!subscribers_.empty() && durable_log_->head_version() > last_shipped_) {
-    binlog::LogCursor cur = durable_log_->Cursor(last_shipped_);
     ReplicationEntry entry;
-    while (cur.Next(&entry)) {
+    while (ship_cursor_->Next(&entry)) {
       last_shipped_ = std::max<GlobalVersion>(last_shipped_, entry.version);
       if (entry.origin_commit_us <= 0) entry.origin_commit_us = sim_->Now();
       bool ack = entry.version == sync_version;
@@ -955,6 +959,10 @@ void ReplicaNode::ShipCommitted(int sync_acks_for_version,
   // A 2-safe commit must not sit behind the batching latency cap: the
   // client is waiting on the receipt acks.
   if (sync_version > 0) ship_pipeline_->FlushAll(ship::FlushReason::kSync);
+}
+
+void ReplicaNode::ResetShipCursor() {
+  ship_cursor_.emplace(durable_log_->Cursor(last_shipped_));
 }
 
 // ---------------------------------------------------------------------------
@@ -1062,6 +1070,7 @@ void ReplicaNode::RecoverFromDurableLog(sim::TimePoint now) {
   engine_applied_ = v;
   binlog_shipped_index_ = engine_->binlog().size();
   last_shipped_ = std::max(last_shipped_, v);
+  ResetShipCursor();
   durable_log_->PersistWatermark(v);
   // Recovery occupies the node: workers come back busy until the image
   // restore + tail replay are done, so reads routed here queue behind it.
@@ -1238,6 +1247,7 @@ void ReplicaNode::HandleRestore(const net::Message& m) {
     // Re-baseline the durable log at the restored image: everything
     // before it is unreachable state from a previous life.
     TakeCheckpoint();
+    ResetShipCursor();
     durable_log_->PersistWatermark(msg.as_of_version);
     if (!pending_audits_.empty()) CheckAuditBarriers();
     // Entries beyond the image may already be buffered (resync replay
@@ -1266,6 +1276,7 @@ void ReplicaNode::MarkSetupComplete() {
   // log's baseline is this checkpoint: recovery restores it and replays
   // only post-setup entries.
   TakeCheckpoint();
+  ResetShipCursor();
 }
 
 void ReplicaNode::SetController(net::NodeId controller) {

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -220,6 +221,10 @@ class ReplicaNode {
   /// Ships binlog-derived entries committed after last_shipped_.
   void ShipCommitted(int sync_acks_for_version = 0,
                      GlobalVersion sync_version = 0);
+  /// Re-seeks the ship cursor at last_shipped_. Called wherever
+  /// last_shipped_ or the durable log is reset; shipping itself only
+  /// resumes the cursor.
+  void ResetShipCursor();
 
   /// Appends one replication-stream entry to the durable log (write-ahead
   /// of its engine apply) and folds it into the writeset table. Duplicate
@@ -292,6 +297,9 @@ class ReplicaNode {
   // Master shipping.
   std::vector<net::NodeId> subscribers_;
   GlobalVersion last_shipped_ = 0;
+  /// Resumable cursor over durable_log_ positioned just past
+  /// last_shipped_: each ship tick reads only the frames appended since.
+  std::optional<binlog::LogCursor> ship_cursor_;
   size_t binlog_shipped_index_ = 0;
   std::unique_ptr<sim::PeriodicTask> ship_task_;
   // 2-safe bookkeeping: version -> (acks outstanding, reply closure).
