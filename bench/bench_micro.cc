@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark): per-component costs that back the
 // scenario benches — SQL parsing/rewriting (the middleware's per-statement
 // tax), engine transaction primitives, writeset capture/apply,
-// certification throughput, and the durable binlog (CRC framing, append,
-// ship cursor, checkpoint). These are wall-clock benchmarks of the actual
-// implementation (no simulated time).
+// certification throughput, the durable binlog (CRC framing, append,
+// ship cursor, checkpoint) and the simulator's event queue. These are
+// wall-clock benchmarks of the actual implementation (no simulated time).
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +14,7 @@
 #include "engine/rdbms.h"
 #include "middleware/recovery_log.h"
 #include "ship/codec.h"
+#include "sim/simulator.h"
 #include "sql/determinism.h"
 #include "sql/parser.h"
 
@@ -314,6 +315,68 @@ void BM_ContentHash(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ContentHash)->Arg(1000)->Arg(10000);
+
+// --- Simulator event queue --------------------------------------------------
+
+/// A callback capturing a small message, as network deliveries do.
+std::function<void()> SimBenchCallback(const std::string& message) {
+  return [message] { benchmark::DoNotOptimize(message.data()); };
+}
+
+/// Steady state of N live events under the request-timeout pattern: N/2
+/// in-flight requests, each with one pending step and one armed 10 ms
+/// timeout. Every dispatch cancels its request's timeout, arms a new one
+/// and schedules the next step 1-1000 us later, as Driver::Submit and
+/// the Controller's request timer do per transaction, so timeouts are
+/// cancelled long before they are due. Items are dispatches.
+void BM_SimScheduleStep(benchmark::State& state) {
+  const auto requests = static_cast<size_t>(state.range(0)) / 2;
+  sim::Simulator sim;
+  Rng rng(7);
+  const std::string message(48, 'm');
+  std::vector<sim::EventId> timeout(requests, 0);
+  std::function<void(size_t)> dispatch = [&](size_t i) {
+    sim.Cancel(timeout[i]);
+    timeout[i] =
+        sim.Schedule(10 * sim::kMillisecond, SimBenchCallback(message));
+    sim.Schedule(rng.UniformRange(1, 1000), [&dispatch, i, message] {
+      benchmark::DoNotOptimize(message.data());
+      dispatch(i);
+    });
+  };
+  for (size_t i = 0; i < requests; ++i) dispatch(i);
+  // Past one timeout period, so a queue that keeps cancelled entries
+  // holds its steady-state backlog of them.
+  sim.RunFor(20 * sim::kMillisecond);
+  for (auto _ : state) {
+    bool ran = sim.Step();
+    benchmark::DoNotOptimize(ran);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimScheduleStep)->Arg(1000)->Arg(20000);
+
+/// Arming and cancelling one 5 s timeout next to N pending events that
+/// are far in the future. Every 4096 timeouts the clock passes their
+/// deadlines, so a queue that defers cancellation pays for discarding
+/// them inside the measured loop. Items are timeouts.
+void BM_SimCancel(benchmark::State& state) {
+  const auto pending = static_cast<size_t>(state.range(0));
+  sim::Simulator sim;
+  Rng rng(11);
+  const std::string message(48, 'm');
+  for (size_t i = 0; i < pending; ++i) {
+    sim.Schedule(sim::kDay * 10000 + rng.UniformRange(0, sim::kSecond),
+                 SimBenchCallback(message));
+  }
+  uint64_t n = 0;
+  for (auto _ : state) {
+    sim.Cancel(sim.Schedule(5 * sim::kSecond, SimBenchCallback(message)));
+    if (++n % 4096 == 0) sim.RunFor(5 * sim::kSecond + 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimCancel)->Arg(1000)->Arg(20000);
 
 // --- Ship wire codec --------------------------------------------------------
 

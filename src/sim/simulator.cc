@@ -21,30 +21,89 @@ EventId Simulator::Schedule(Duration delay, std::function<void()> fn) {
 
 EventId Simulator::ScheduleAt(TimePoint when, std::function<void()> fn) {
   if (when < now_) when = now_;
-  EventId id = next_id_++;
-  queue_.push(Event{when, next_seq_++, id, std::move(fn)});
-  return id;
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    REPLIDB_CHECK(slots_.size() < kNotQueued, "simulator slot table full");
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].fn = std::move(fn);
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1, HeapEntry{when, next_seq_++, slot});
+  return static_cast<EventId>(slots_[slot].generation) << 32 | slot;
 }
 
 void Simulator::Cancel(EventId id) {
-  if (id != 0) cancelled_.insert(id);
+  const auto slot = static_cast<uint32_t>(id);
+  if (slot >= slots_.size()) return;
+  const Slot& s = slots_[slot];
+  if (s.generation != static_cast<uint32_t>(id >> 32) ||
+      s.heap_pos == kNotQueued) {
+    return;
+  }
+  Unlink(s.heap_pos);
+  Release(slot);
+}
+
+void Simulator::SiftUp(size_t pos, HeapEntry e) {
+  while (pos > 0) {
+    size_t parent = (pos - 1) / 2;
+    if (!Before(e, heap_[parent])) break;
+    Place(pos, heap_[parent]);
+    pos = parent;
+  }
+  Place(pos, e);
+}
+
+void Simulator::SiftDown(size_t pos, HeapEntry e) {
+  const size_t n = heap_.size();
+  while (true) {
+    size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && Before(heap_[child + 1], heap_[child])) ++child;
+    if (!Before(heap_[child], e)) break;
+    Place(pos, heap_[child]);
+    pos = child;
+  }
+  Place(pos, e);
+}
+
+void Simulator::Unlink(size_t pos) {
+  HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;
+  if (pos > 0 && Before(last, heap_[(pos - 1) / 2])) {
+    SiftUp(pos, last);
+  } else {
+    SiftDown(pos, last);
+  }
+}
+
+void Simulator::Release(uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.fn = nullptr;
+  s.heap_pos = kNotQueued;
+  if (++s.generation == 0) s.generation = 1;  // Keep every id nonzero.
+  free_slots_.push_back(slot);
+}
+
+void Simulator::RunHead() {
+  const HeapEntry head = heap_.front();
+  std::function<void()> fn = std::move(slots_[head.slot].fn);
+  Unlink(0);
+  Release(head.slot);
+  now_ = head.when;
+  ++events_executed_;
+  fn();
 }
 
 bool Simulator::Step() {
-  while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
-    auto it = cancelled_.find(ev.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    now_ = ev.when;
-    ++events_executed_;
-    ev.fn();
-    return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  RunHead();
+  return true;
 }
 
 void Simulator::Run() {
@@ -55,26 +114,9 @@ void Simulator::Run() {
 
 void Simulator::RunUntil(TimePoint deadline) {
   stop_requested_ = false;
-  while (!stop_requested_) {
-    // Peek: skip cancelled heads without executing.
-    bool executed = false;
-    while (!queue_.empty()) {
-      const Event& head = queue_.top();
-      if (cancelled_.count(head.id)) {
-        cancelled_.erase(head.id);
-        queue_.pop();
-        continue;
-      }
-      if (head.when > deadline) break;
-      Event ev = queue_.top();
-      queue_.pop();
-      now_ = ev.when;
-      ++events_executed_;
-      ev.fn();
-      executed = true;
-      break;
-    }
-    if (!executed) break;
+  while (!stop_requested_ && !heap_.empty() &&
+         heap_.front().when <= deadline) {
+    RunHead();
   }
   if (now_ < deadline) now_ = deadline;
 }

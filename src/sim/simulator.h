@@ -3,10 +3,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
-
-#include "common/hashing.h"
 
 namespace replidb::sim {
 
@@ -27,7 +24,9 @@ inline double ToSeconds(Duration d) { return static_cast<double>(d) / kSecond; }
 /// Converts simulated time to milliseconds as a double (for reporting).
 inline double ToMillis(Duration d) { return static_cast<double>(d) / kMillisecond; }
 
-/// Handle for cancelling a scheduled event. 0 is never a valid id.
+/// Handle for cancelling a scheduled event: the event's slot in the low 32
+/// bits and the slot's generation (>= 1) in the high 32, so 0 is never a
+/// valid id and an id goes stale once its event fires or is cancelled.
 using EventId = uint64_t;
 
 /// \brief Deterministic discrete-event simulator.
@@ -38,6 +37,10 @@ using EventId = uint64_t;
 /// (time, insertion-order) order. Experiments are thus fully deterministic —
 /// the same seed always produces the same trace — and simulate hours of
 /// cluster time in milliseconds of wall time.
+///
+/// The queue is an indexed binary min-heap over a slot table that owns the
+/// callbacks (the layout of libevent's timer heap), so Cancel() removes the
+/// event in O(log n) and the heap holds only pending events.
 class Simulator {
  public:
   /// Construction registers this simulator as the process log clock (log
@@ -56,7 +59,8 @@ class Simulator {
   /// Schedules `fn` at absolute virtual time `when` (clamped to Now()).
   EventId ScheduleAt(TimePoint when, std::function<void()> fn);
 
-  /// Cancels a pending event; no-op if already fired or cancelled.
+  /// Cancels a pending event and destroys its callback at once; no-op if
+  /// the id already fired, was cancelled, or was never issued.
   void Cancel(EventId id);
 
   /// Runs events until the queue is empty or `StopRequested`.
@@ -79,29 +83,51 @@ class Simulator {
   uint64_t events_executed() const { return events_executed_; }
 
   /// Number of events currently pending.
-  size_t pending_events() const { return queue_.size() - cancelled_.size(); }
+  size_t pending_events() const { return heap_.size(); }
 
  private:
-  struct Event {
+  /// A queued event: its (when, seq) key and the slot holding its callback.
+  struct HeapEntry {
     TimePoint when;
     uint64_t seq;  // Tie-breaker: FIFO among same-time events.
-    EventId id;
+    uint32_t slot;
+  };
+  /// A callback and where its entry sits in `heap_`. A free slot has no
+  /// callback and heap_pos == kNotQueued; freeing it advances the
+  /// generation, which invalidates every id issued for it so far.
+  struct Slot {
     std::function<void()> fn;
+    uint32_t generation = 1;
+    uint32_t heap_pos = kNotQueued;
   };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
+  static constexpr uint32_t kNotQueued = UINT32_MAX;
+
+  static bool Before(const HeapEntry& a, const HeapEntry& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
+  /// Writes `e` at heap position `pos` and records the position in its slot.
+  void Place(size_t pos, const HeapEntry& e) {
+    heap_[pos] = e;
+    slots_[e.slot].heap_pos = static_cast<uint32_t>(pos);
+  }
+  void SiftUp(size_t pos, HeapEntry e);
+  void SiftDown(size_t pos, HeapEntry e);
+  /// Removes the entry at heap position `pos`.
+  void Unlink(size_t pos);
+  /// Drops the slot's callback and returns the slot to the free list.
+  void Release(uint32_t slot);
+  /// Pops the earliest event, advances the clock to it and runs it. The
+  /// callback is moved out of its slot first, so it may schedule and
+  /// cancel freely, including its own (now stale) id.
+  void RunHead();
 
   TimePoint now_ = 0;
   uint64_t next_seq_ = 1;
-  EventId next_id_ = 1;
   uint64_t events_executed_ = 0;
   bool stop_requested_ = false;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
-  HashSet<EventId> cancelled_;
+  std::vector<HeapEntry> heap_;  // Min-heap on (when, seq).
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
 };
 
 /// \brief Repeating task helper (heartbeats, pollers, batch shippers).
