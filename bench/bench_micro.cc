@@ -42,6 +42,31 @@ void BM_ParseComplexUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseComplexUpdate);
 
+void BM_ParseTxnControl(benchmark::State& state) {
+  const std::string sql = "COMMIT";
+  for (auto _ : state) {
+    auto r = sql::Parse(sql);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_ParseTxnControl);
+
+// The setup batches every workload loads its tables with: 200 rows of
+// three literals each.
+void BM_ParseInsertBatch200(benchmark::State& state) {
+  std::string sql = "INSERT INTO inventory VALUES ";
+  for (int i = 0; i < 200; ++i) {
+    if (i > 0) sql += ", ";
+    sql += "(" + std::to_string(i) + ", 1000, " + std::to_string(50 + i) +
+           ".0)";
+  }
+  for (auto _ : state) {
+    auto r = sql::Parse(sql);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_ParseInsertBatch200)->Unit(benchmark::kMicrosecond);
+
 void BM_AnalyzeDeterminism(benchmark::State& state) {
   sql::Statement stmt =
       sql::Parse("UPDATE t SET x = RAND(), ts = NOW() WHERE id = 5").TakeValue();

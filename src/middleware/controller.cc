@@ -515,17 +515,31 @@ void Controller::HandleClientTxn(const net::Message& m) {
   p.arrived = sim_->Now();
   p.request = msg.request;
 
-  // Classify: trust read_only only if no statement parses as a write.
+  // Parse each statement once. Classify (trust read_only only if no
+  // statement parses as a write), collect the tables the transaction
+  // touches (best effort) and, for a statement-mode write, keep the ASTs
+  // for PrepareStatements.
   p.is_write = !msg.request.read_only;
-  if (!p.is_write) {
-    for (const std::string& stmt : msg.request.statements) {
-      Result<sql::Statement> parsed = sql::Parse(stmt);
-      if (!parsed.ok() || parsed.value().IsWrite()) {
-        p.is_write = true;
-        break;
+  bool statement_mode =
+      options_.mode == ReplicationMode::kMultiMasterStatement;
+  std::vector<std::optional<sql::Statement>> parsed;
+  for (const std::string& text : msg.request.statements) {
+    Result<sql::Statement> stmt = sql::Parse(text);
+    if (!stmt.ok()) {
+      p.is_write = true;
+      if (statement_mode) parsed.emplace_back();
+      continue;
+    }
+    if (stmt.value().IsWrite()) p.is_write = true;
+    if (const sql::TableRef* ref = stmt.value().TargetTable()) {
+      std::string key = ref->ToString();
+      if (std::find(p.tables.begin(), p.tables.end(), key) == p.tables.end()) {
+        p.tables.push_back(std::move(key));
       }
     }
+    if (statement_mode) parsed.emplace_back(stmt.TakeValue());
   }
+  if (statement_mode && p.is_write) p.parsed = std::move(parsed);
 
   ++stats_.txns_total;
   ControllerMetrics::Get().txns->Increment();
@@ -549,7 +563,6 @@ void Controller::HandleClientTxn(const net::Message& m) {
       p.min_version = global_version_;
       break;
   }
-  p.tables = ExtractTables(msg.request);
 
   auto [it, inserted] = pending_.emplace(req, std::move(p));
   (void)inserted;
@@ -602,21 +615,6 @@ sim::TimePoint Controller::ChargeProcessing(size_t statements,
   *worker = start + cost;
   if (start_out != nullptr) *start_out = start;
   return *worker;
-}
-
-std::vector<std::string> Controller::ExtractTables(const TxnRequest& request) {
-  std::vector<std::string> tables;
-  for (const std::string& stmt : request.statements) {
-    Result<sql::Statement> parsed = sql::Parse(stmt);
-    if (!parsed.ok()) continue;
-    const sql::TableRef* ref = parsed.value().TargetTable();
-    if (ref == nullptr) continue;
-    std::string key = ref->ToString();
-    if (std::find(tables.begin(), tables.end(), key) == tables.end()) {
-      tables.push_back(key);
-    }
-  }
-  return tables;
 }
 
 // ---------------------------------------------------------------------------
@@ -833,14 +831,15 @@ Status Controller::PrepareStatements(Pending* p) {
   sql::Value now_value = sql::Value::Int(sim_->Now());
   bool unsafe = false;
   std::vector<std::string> reasons;
-  for (const std::string& text : p->request.statements) {
-    Result<sql::Statement> parsed = sql::Parse(text);
-    if (!parsed.ok()) {
+  // The ASTs are rewritten once, here, and dropped with this local.
+  std::vector<std::optional<sql::Statement>> parsed = std::move(p->parsed);
+  for (size_t i = 0; i < parsed.size(); ++i) {
+    if (!parsed[i]) {
       // Opaque statement: cannot rewrite; broadcast raw.
-      p->statements.push_back(text);
+      p->statements.push_back(p->request.statements[i]);
       continue;
     }
-    sql::Statement stmt = parsed.TakeValue();
+    sql::Statement& stmt = *parsed[i];
     sql::DeterminismReport report =
         sql::RewriteForStatementReplication(&stmt, now_value, &rng_);
     if (!report.SafeForStatementReplication()) {
@@ -1597,23 +1596,32 @@ void Controller::UpgradeNext(std::vector<net::NodeId> remaining,
     info2->node->set_software_version(target_version);
     info2->node->Restart();
     StartResync(target);
-    // Wait for the rejoin to finish, then move to the next node.
-    auto poll = std::make_shared<std::function<void()>>();
-    *poll = [this, target, remaining, target_version, upgrade_duration,
-             on_done, poll] {
-      ReplicaInfo* info3 = Info(target);
-      if (info3 == nullptr) {
-        if (on_done) on_done(Status::NotFound("replica vanished mid-upgrade"));
-        return;
-      }
-      if (info3->state != ReplicaState::kOnline) {
-        sim_->Schedule(200 * sim::kMillisecond, *poll);
-        return;
-      }
-      UpgradeNext(remaining, target_version, upgrade_duration, on_done);
-    };
-    sim_->Schedule(200 * sim::kMillisecond, *poll);
+    AwaitRejoinThenUpgrade(target, remaining, target_version, upgrade_duration,
+                           on_done);
   });
+}
+
+void Controller::AwaitRejoinThenUpgrade(net::NodeId target,
+                                        std::vector<net::NodeId> remaining,
+                                        int target_version,
+                                        sim::Duration upgrade_duration,
+                                        std::function<void(Status)> on_done) {
+  auto poll = [this, target, remaining = std::move(remaining), target_version,
+               upgrade_duration, on_done = std::move(on_done)]() mutable {
+    ReplicaInfo* info = Info(target);
+    if (info == nullptr) {
+      if (on_done) on_done(Status::NotFound("replica vanished mid-upgrade"));
+      return;
+    }
+    if (info->state != ReplicaState::kOnline) {
+      AwaitRejoinThenUpgrade(target, std::move(remaining), target_version,
+                             upgrade_duration, std::move(on_done));
+      return;
+    }
+    UpgradeNext(std::move(remaining), target_version, upgrade_duration,
+                std::move(on_done));
+  };
+  sim_->Schedule(200 * sim::kMillisecond, std::move(poll));
 }
 
 void Controller::RemoveReplica(net::NodeId replica) {

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include "common/hashing.h"
 #include <vector>
@@ -280,7 +281,10 @@ class Controller {
     GlobalVersion begin_version = 0;
     engine::Writeset writeset;
     std::vector<std::string> statements;
-    // Statement mode state.
+    // Statement mode state. `parsed` holds, for a write only, each request
+    // statement as parsed on arrival (nullopt: it did not parse), until
+    // PrepareStatements rewrites and serializes them.
+    std::vector<std::optional<sql::Statement>> parsed;
     GlobalVersion order = 0;
     uint64_t mirror_seq_after = 0;  ///< Mirror seq covering this write.
     int replies_needed = 0;
@@ -300,11 +304,10 @@ class Controller {
   void RouteWriteStatement(Pending* p);
   void RouteWriteCertification(Pending* p);
 
-  /// Parses/analyzes/rewrites statements for statement replication.
+  /// Analyzes and rewrites the statements parsed on arrival for statement
+  /// replication; runs at route time, which binds NOW() and RAND().
   /// Returns non-OK when policy forbids broadcasting.
   Status PrepareStatements(Pending* p);
-  /// Extracts the set of table names a transaction touches (best effort).
-  std::vector<std::string> ExtractTables(const TxnRequest& request);
 
   /// Picks a read replica per LB policy and consistency constraints.
   net::NodeId PickReadReplica(const Pending& p);
@@ -397,6 +400,14 @@ class Controller {
   void UpgradeNext(std::vector<net::NodeId> remaining, int target_version,
                    sim::Duration upgrade_duration,
                    std::function<void(Status)> on_done);
+  /// Polls every 200 ms until the upgraded `target` is back online, then
+  /// upgrades the next replica. Each poll schedules a fresh closure that
+  /// owns its captures, so no closure refers to itself.
+  void AwaitRejoinThenUpgrade(net::NodeId target,
+                              std::vector<net::NodeId> remaining,
+                              int target_version,
+                              sim::Duration upgrade_duration,
+                              std::function<void(Status)> on_done);
   uint64_t next_req_ = 1;
   size_t round_robin_ = 0;
   sim::TimePoint busy_until_ = 0;

@@ -48,6 +48,13 @@ struct ReplicaMetrics {
   }
 };
 
+// Transaction control enters the engine as prebuilt statements, so it
+// costs no parse. ExecuteStmt runs exactly what Execute runs after parsing
+// the same text, so statement counters and costs are the same.
+const sql::Statement kBeginTxn{sql::BeginStmt{}};
+const sql::Statement kCommitTxn{sql::CommitStmt{}};
+const sql::Statement kRollbackTxn{sql::RollbackStmt{}};
+
 }  // namespace
 
 const char* ReplicationModeName(ReplicationMode mode) {
@@ -397,7 +404,7 @@ void ReplicaNode::RunTransaction(const ExecTxnMsg& msg, net::NodeId from,
   int64_t cost = 0;
   size_t binlog_before = engine_->binlog().size();
 
-  engine::ExecResult begin = engine_->Execute(session, "BEGIN");
+  engine::ExecResult begin = engine_->ExecuteStmt(session, kBeginTxn);
   cost += begin.cost_us;
   Status status = begin.status;
   std::vector<sql::Row> last_rows;
@@ -417,7 +424,7 @@ void ReplicaNode::RunTransaction(const ExecTxnMsg& msg, net::NodeId from,
   reply->rows = std::move(last_rows);
 
   if (!status.ok()) {
-    engine_->Execute(session, "ROLLBACK");
+    engine_->ExecuteStmt(session, kRollbackTxn);
     engine_->Disconnect(session);
     reply->status = status;
     reply->cost_us = cost;
@@ -439,7 +446,7 @@ void ReplicaNode::RunTransaction(const ExecTxnMsg& msg, net::NodeId from,
 
   const engine::Writeset* ws = engine_->CurrentWriteset(session);
   if (ws != nullptr) reply->writeset = *ws;
-  engine::ExecResult commit = engine_->Execute(session, "COMMIT");
+  engine::ExecResult commit = engine_->ExecuteStmt(session, kCommitTxn);
   cost += commit.cost_us;
   engine_->Disconnect(session);
   reply->status = commit.status;
@@ -489,7 +496,7 @@ void ReplicaNode::HandleFinish(const net::Message& m) {
     return;
   }
   if (!msg.commit) {
-    engine_->Execute(it->second.session, "ROLLBACK");
+    engine_->ExecuteStmt(it->second.session, kRollbackTxn);
     engine_->Disconnect(it->second.session);
     held_.erase(it);
     FinishTxnReply reply;
@@ -670,7 +677,7 @@ void ReplicaNode::DrainOrderedBuffer() {
         }
       } else {
         engine::ExecResult commit =
-            engine_->Execute(hit->second.session, "COMMIT");
+            engine_->ExecuteStmt(hit->second.session, kCommitTxn);
         finish_reply.status = commit.status;
         cost = commit.cost_us;
         for (const std::string& k : hit->second.writeset.ConflictKeys()) {
@@ -687,7 +694,7 @@ void ReplicaNode::DrainOrderedBuffer() {
           entry.writeset.incomplete) {
         Result<engine::SessionId> sid = engine_->Connect();
         if (sid.ok()) {
-          engine_->Execute(sid.value(), "BEGIN");
+          engine_->ExecuteStmt(sid.value(), kBeginTxn);
           bool entry_ok = true;
           for (const std::string& stmt : entry.statements) {
             engine::ExecResult r = engine_->Execute(sid.value(), stmt);
@@ -698,12 +705,13 @@ void ReplicaNode::DrainOrderedBuffer() {
             }
           }
           if (entry_ok) {
-            engine::ExecResult commit = engine_->Execute(sid.value(), "COMMIT");
+            engine::ExecResult commit =
+                engine_->ExecuteStmt(sid.value(), kCommitTxn);
             cost += commit.cost_us;
           } else {
             // Mirror live execution: a failing transaction rolls back in
             // full everywhere, so deterministic aborts stay convergent.
-            engine_->Execute(sid.value(), "ROLLBACK");
+            engine_->ExecuteStmt(sid.value(), kRollbackTxn);
             ++apply_errors_;
             ReplicaMetrics::Get().apply_errors->Increment();
           }
@@ -735,7 +743,7 @@ void ReplicaNode::DrainOrderedBuffer() {
             }
             if (overlaps) {
               if (engine_->HasSession(hit->second.session)) {
-                engine_->Execute(hit->second.session, "ROLLBACK");
+                engine_->ExecuteStmt(hit->second.session, kRollbackTxn);
                 engine_->Disconnect(hit->second.session);
               }
               hit = held_.erase(hit);
@@ -1043,7 +1051,7 @@ void ReplicaNode::RecoverFromDurableLog(sim::TimePoint now) {
         entry.writeset.incomplete) {
       Result<engine::SessionId> sid = engine_->Connect();
       if (sid.ok()) {
-        engine_->Execute(sid.value(), "BEGIN");
+        engine_->ExecuteStmt(sid.value(), kBeginTxn);
         bool entry_ok = true;
         for (const std::string& stmt : entry.statements) {
           engine::ExecResult r = engine_->Execute(sid.value(), stmt);
@@ -1054,9 +1062,9 @@ void ReplicaNode::RecoverFromDurableLog(sim::TimePoint now) {
           }
         }
         if (entry_ok) {
-          cost += engine_->Execute(sid.value(), "COMMIT").cost_us;
+          cost += engine_->ExecuteStmt(sid.value(), kCommitTxn).cost_us;
         } else {
-          engine_->Execute(sid.value(), "ROLLBACK");
+          engine_->ExecuteStmt(sid.value(), kRollbackTxn);
         }
         engine_->Disconnect(sid.value());
       }

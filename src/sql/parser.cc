@@ -1,7 +1,10 @@
 #include "sql/parser.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
+#include <string_view>
 #include <utility>
 
 namespace replidb::sql {
@@ -11,45 +14,86 @@ namespace {
 // ---------------------------------------------------------------------------
 // Lexer
 
-enum class TokKind { kEof, kIdent, kInt, kDouble, kString, kSym };
+enum class TokKind : uint8_t { kEof, kIdent, kInt, kDouble, kString, kSym };
 
+/// A token is a view of the statement text, which outlives the parse; the
+/// lexer copies nothing. Keywords are matched against the view ignoring
+/// case.
 struct Token {
   TokKind kind = TokKind::kEof;
-  std::string text;   // Ident (upper-cased copy in `upper`), symbol, string body.
-  std::string upper;  // Upper-cased ident for keyword checks.
-  int64_t int_val = 0;
-  double dbl_val = 0.0;
+  bool escaped = false;   ///< kString: the body holds '' escapes.
+  std::string_view text;  ///< Ident, number, symbol, or string body.
+  union {
+    int64_t int_val = 0;
+    double dbl_val;
+  };
 };
+
+/// `word` (an identifier) equals the upper-case keyword `kw`, ignoring case.
+bool EqualsKeyword(std::string_view word, std::string_view kw) {
+  if (word.size() != kw.size()) return false;
+  for (size_t i = 0; i < word.size(); ++i) {
+    char c = word[i];
+    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+    if (c != kw[i]) return false;
+  }
+  return true;
+}
+
+/// A string token's value: its body with each '' unescaped.
+std::string StringValue(const Token& t) {
+  if (!t.escaped) return std::string(t.text);
+  std::string out;
+  out.reserve(t.text.size());
+  for (size_t i = 0; i < t.text.size(); ++i) {
+    out += t.text[i];
+    if (t.text[i] == '\'') ++i;  // Skip the second quote of the pair.
+  }
+  return out;
+}
+
+/// How an error message quotes a token: a string token by its value.
+std::string Quoted(const Token& t) {
+  return t.kind == TokKind::kString ? StringValue(t) : std::string(t.text);
+}
 
 class Lexer {
  public:
-  explicit Lexer(const std::string& input) : in_(input) {}
+  explicit Lexer(std::string_view input) : in_(input) {}
 
-  Result<std::vector<Token>> Tokenize() {
-    std::vector<Token> out;
+  /// Tokenizes the whole input before any parsing, so a lexical error wins
+  /// over a syntax error earlier in the statement.
+  Status Tokenize(std::vector<Token>* out) {
+    // Every token spans at least one character: one allocation suffices.
+    out->reserve(in_.size() + 1);
     while (true) {
       SkipSpace();
       if (pos_ >= in_.size()) break;
       char c = in_[pos_];
+      Status st;
       if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        out.push_back(LexIdent());
+        out->push_back(LexIdent());
       } else if (std::isdigit(static_cast<unsigned char>(c))) {
-        out.push_back(LexNumber());
+        st = LexNumber(out);
       } else if (c == '\'') {
-        Result<Token> t = LexString();
-        if (!t.ok()) return t.status();
-        out.push_back(t.TakeValue());
+        st = LexString(out);
       } else {
-        Result<Token> t = LexSymbol();
-        if (!t.ok()) return t.status();
-        out.push_back(t.TakeValue());
+        st = LexSymbol(out);
       }
+      if (!st.ok()) return st;
     }
-    out.push_back(Token{});  // EOF.
-    return out;
+    out->push_back(Token{});  // EOF.
+    return Status::OK();
   }
 
  private:
+  bool IsDigitAt(size_t i) const {
+    return i < in_.size() && std::isdigit(static_cast<unsigned char>(in_[i]));
+  }
+  void SkipDigits() {
+    while (IsDigitAt(pos_)) ++pos_;
+  }
+
   void SkipSpace() {
     while (pos_ < in_.size()) {
       char c = in_[pos_];
@@ -73,87 +117,96 @@ class Lexer {
     Token t;
     t.kind = TokKind::kIdent;
     t.text = in_.substr(start, pos_ - start);
-    t.upper = t.text;
-    for (char& ch : t.upper) ch = static_cast<char>(std::toupper(ch));
     return t;
   }
 
-  Token LexNumber() {
+  /// digits [. digits] [(e|E) [+|-] digits]; a fraction or an exponent
+  /// makes it a double. Converted from the token's own characters.
+  Status LexNumber(std::vector<Token>* out) {
     size_t start = pos_;
     bool is_double = false;
-    while (pos_ < in_.size() &&
-           std::isdigit(static_cast<unsigned char>(in_[pos_]))) {
-      ++pos_;
-    }
+    SkipDigits();
     if (pos_ < in_.size() && in_[pos_] == '.') {
       is_double = true;
       ++pos_;
-      while (pos_ < in_.size() &&
-             std::isdigit(static_cast<unsigned char>(in_[pos_]))) {
-        ++pos_;
+      SkipDigits();
+    }
+    if (pos_ < in_.size() && (in_[pos_] == 'e' || in_[pos_] == 'E')) {
+      size_t digits = pos_ + 1;
+      if (digits < in_.size() && (in_[digits] == '+' || in_[digits] == '-')) {
+        ++digits;
+      }
+      if (IsDigitAt(digits)) {
+        is_double = true;
+        pos_ = digits;
+        SkipDigits();
       }
     }
     Token t;
-    std::string text = in_.substr(start, pos_ - start);
+    t.text = in_.substr(start, pos_ - start);
+    const char* first = t.text.data();
+    const char* last = first + t.text.size();
     if (is_double) {
       t.kind = TokKind::kDouble;
-      t.dbl_val = std::strtod(text.c_str(), nullptr);
+      if (std::from_chars(first, last, t.dbl_val).ec != std::errc()) {
+        // Out of range: keep strtod's inf, zero or subnormal.
+        t.dbl_val = std::strtod(std::string(t.text).c_str(), nullptr);
+      }
     } else {
       t.kind = TokKind::kInt;
-      t.int_val = std::strtoll(text.c_str(), nullptr, 10);
+      if (std::from_chars(first, last, t.int_val).ec != std::errc()) {
+        return Status::InvalidArgument("integer literal out of range: '" +
+                                       std::string(t.text) + "'");
+      }
     }
-    t.text = std::move(text);
-    return t;
+    out->push_back(t);
+    return Status::OK();
   }
 
-  Result<Token> LexString() {
-    ++pos_;  // Skip opening quote.
-    std::string body;
+  Status LexString(std::vector<Token>* out) {
+    size_t start = ++pos_;  // Skip opening quote.
+    Token t;
+    t.kind = TokKind::kString;
     while (pos_ < in_.size()) {
-      char c = in_[pos_];
-      if (c == '\'') {
-        if (pos_ + 1 < in_.size() && in_[pos_ + 1] == '\'') {
-          body += '\'';
-          pos_ += 2;
-          continue;
-        }
+      if (in_[pos_] != '\'') {
         ++pos_;
-        Token t;
-        t.kind = TokKind::kString;
-        t.text = std::move(body);
-        return t;
+        continue;
       }
-      body += c;
+      if (pos_ + 1 < in_.size() && in_[pos_ + 1] == '\'') {
+        t.escaped = true;
+        pos_ += 2;
+        continue;
+      }
+      t.text = in_.substr(start, pos_ - start);
       ++pos_;
+      out->push_back(t);
+      return Status::OK();
     }
     return Status::InvalidArgument("unterminated string literal");
   }
 
-  Result<Token> LexSymbol() {
-    static const char* kTwoChar[] = {"<=", ">=", "<>", "!="};
-    for (const char* s : kTwoChar) {
-      if (in_.compare(pos_, 2, s) == 0) {
-        Token t;
-        t.kind = TokKind::kSym;
-        t.text = (std::string(s) == "!=") ? "<>" : s;
-        pos_ += 2;
-        return t;
-      }
+  Status LexSymbol(std::vector<Token>* out) {
+    Token t;
+    t.kind = TokKind::kSym;
+    std::string_view two = in_.substr(pos_, 2);
+    if (two == "<=" || two == ">=" || two == "<>" || two == "!=") {
+      t.text = two == "!=" ? std::string_view("<>") : two;
+      pos_ += 2;
+      out->push_back(t);
+      return Status::OK();
     }
     char c = in_[pos_];
-    static const std::string kSingles = "(),.=<>+-*/%;";
-    if (kSingles.find(c) == std::string::npos) {
+    static constexpr std::string_view kSingles = "(),.=<>+-*/%;";
+    if (kSingles.find(c) == std::string_view::npos) {
       return Status::InvalidArgument(std::string("unexpected character '") + c +
                                      "' in SQL");
     }
-    ++pos_;
-    Token t;
-    t.kind = TokKind::kSym;
-    t.text = std::string(1, c);
-    return t;
+    t.text = in_.substr(pos_++, 1);
+    out->push_back(t);
+    return Status::OK();
   }
 
-  const std::string& in_;
+  std::string_view in_;
   size_t pos_ = 0;
 };
 
@@ -171,7 +224,7 @@ class Parser {
     if (PeekSym(";")) Advance();
     if (!AtEof()) {
       return Status::InvalidArgument("trailing input after statement: '" +
-                                     Peek().text + "'");
+                                     Quoted(Peek()) + "'");
     }
     return r;
   }
@@ -218,7 +271,7 @@ class Parser {
     }
     if (PeekKeyword("CALL")) return ParseCall();
     return Status::InvalidArgument("unrecognized statement start: '" +
-                                   Peek().text + "'");
+                                   Quoted(Peek()) + "'");
   }
 
   Result<Statement> ParseCreate() {
@@ -602,7 +655,7 @@ class Parser {
       if (!ConsumeSym(")")) return Status::InvalidArgument("expected )");
       return chain;
     }
-    static const std::pair<const char*, BinaryOp> kCmps[] = {
+    static constexpr std::pair<std::string_view, BinaryOp> kCmps[] = {
         {"=", BinaryOp::kEq},  {"<>", BinaryOp::kNe}, {"<=", BinaryOp::kLe},
         {">=", BinaryOp::kGe}, {"<", BinaryOp::kLt},  {">", BinaryOp::kGt},
     };
@@ -670,7 +723,7 @@ class Parser {
         return Expr::Lit(Value::Double(v));
       }
       case TokKind::kString: {
-        std::string v = t.text;
+        std::string v = StringValue(t);
         Advance();
         return Expr::Lit(Value::String(std::move(v)));
       }
@@ -682,7 +735,8 @@ class Parser {
           if (!ConsumeSym(")")) return Status::InvalidArgument("expected )");
           return e;
         }
-        return Status::InvalidArgument("unexpected symbol '" + t.text + "'");
+        return Status::InvalidArgument("unexpected symbol '" +
+                                       std::string(t.text) + "'");
       case TokKind::kIdent:
         return ParseIdentExpr();
       case TokKind::kEof:
@@ -692,20 +746,20 @@ class Parser {
   }
 
   Result<ExprPtr> ParseIdentExpr() {
-    Token t = Peek();
-    if (t.upper == "NULL") {
+    const Token& t = Peek();
+    if (EqualsKeyword(t.text, "NULL")) {
       Advance();
       return Expr::Lit(Value::Null());
     }
-    if (t.upper == "TRUE") {
+    if (EqualsKeyword(t.text, "TRUE")) {
       Advance();
       return Expr::Lit(Value::Bool(true));
     }
-    if (t.upper == "FALSE") {
+    if (EqualsKeyword(t.text, "FALSE")) {
       Advance();
       return Expr::Lit(Value::Bool(false));
     }
-    if (t.upper == "CURRENT_TIMESTAMP") {
+    if (EqualsKeyword(t.text, "CURRENT_TIMESTAMP")) {
       Advance();
       // Parenless form allowed, like in standard SQL.
       if (PeekSym("(")) {
@@ -714,13 +768,13 @@ class Parser {
       }
       return Expr::Func0(FuncKind::kNow);
     }
-    static const std::pair<const char*, FuncKind> kFuncs[] = {
+    static constexpr std::pair<std::string_view, FuncKind> kFuncs[] = {
         {"NOW", FuncKind::kNow},     {"RAND", FuncKind::kRand},
         {"RANDOM", FuncKind::kRand}, {"ABS", FuncKind::kAbs},
         {"LOWER", FuncKind::kLower}, {"UPPER", FuncKind::kUpper},
     };
     for (const auto& [name, fk] : kFuncs) {
-      if (t.upper == name && PeekSymAt(1, "(")) {
+      if (EqualsKeyword(t.text, name) && PeekSymAt(1, "(")) {
         Advance();  // name
         Advance();  // (
         auto e = Expr::Func0(fk);
@@ -737,15 +791,15 @@ class Parser {
         return e;
       }
     }
-    if (t.upper == "NEXTVAL" && PeekSymAt(1, "(")) {
+    if (EqualsKeyword(t.text, "NEXTVAL") && PeekSymAt(1, "(")) {
       Advance();
       Advance();
       std::string seq;
       if (Peek().kind == TokKind::kString) {
-        seq = Peek().text;
+        seq = StringValue(Peek());
         Advance();
       } else if (Peek().kind == TokKind::kIdent) {
-        seq = Peek().text;
+        seq = std::string(Peek().text);
         Advance();
       } else {
         return Status::InvalidArgument("expected sequence name in NEXTVAL");
@@ -755,7 +809,7 @@ class Parser {
     }
     // Plain column reference.
     Advance();
-    return Expr::Col(t.text);
+    return Expr::Col(std::string(t.text));
   }
 
   // --- Token helpers ------------------------------------------------------
@@ -768,23 +822,21 @@ class Parser {
     if (pos_ < toks_.size() - 1) ++pos_;
   }
   bool AtEof() const { return Peek().kind == TokKind::kEof; }
-  bool PeekKeyword(const char* kw) const {
-    return Peek().kind == TokKind::kIdent && Peek().upper == kw;
+  bool PeekKeyword(std::string_view kw) const {
+    return Peek().kind == TokKind::kIdent && EqualsKeyword(Peek().text, kw);
   }
-  bool PeekSym(const char* s) const {
-    return Peek().kind == TokKind::kSym && Peek().text == s;
-  }
-  bool PeekSymAt(size_t ahead, const char* s) const {
+  bool PeekSym(std::string_view s) const { return PeekSymAt(0, s); }
+  bool PeekSymAt(size_t ahead, std::string_view s) const {
     return Peek(ahead).kind == TokKind::kSym && Peek(ahead).text == s;
   }
-  bool ConsumeKeyword(const char* kw) {
+  bool ConsumeKeyword(std::string_view kw) {
     if (PeekKeyword(kw)) {
       Advance();
       return true;
     }
     return false;
   }
-  bool ConsumeSym(const char* s) {
+  bool ConsumeSym(std::string_view s) {
     if (PeekSym(s)) {
       Advance();
       return true;
@@ -802,12 +854,12 @@ class Parser {
   }
   bool PeekAgg(AggFunc* out) const {
     if (Peek().kind != TokKind::kIdent || !PeekSymAt(1, "(")) return false;
-    const std::string& u = Peek().upper;
-    if (u == "COUNT") *out = AggFunc::kCount;
-    else if (u == "SUM") *out = AggFunc::kSum;
-    else if (u == "MIN") *out = AggFunc::kMin;
-    else if (u == "MAX") *out = AggFunc::kMax;
-    else if (u == "AVG") *out = AggFunc::kAvg;
+    std::string_view u = Peek().text;
+    if (EqualsKeyword(u, "COUNT")) *out = AggFunc::kCount;
+    else if (EqualsKeyword(u, "SUM")) *out = AggFunc::kSum;
+    else if (EqualsKeyword(u, "MIN")) *out = AggFunc::kMin;
+    else if (EqualsKeyword(u, "MAX")) *out = AggFunc::kMax;
+    else if (EqualsKeyword(u, "AVG")) *out = AggFunc::kAvg;
     else return false;
     return true;
   }
@@ -815,9 +867,9 @@ class Parser {
   Result<std::string> ExpectIdent() {
     if (Peek().kind != TokKind::kIdent) {
       return Status::InvalidArgument("expected identifier, got '" +
-                                     Peek().text + "'");
+                                     Quoted(Peek()) + "'");
     }
-    std::string s = Peek().text;
+    std::string s(Peek().text);
     Advance();
     return s;
   }
@@ -842,19 +894,22 @@ class Parser {
     if (Peek().kind != TokKind::kIdent) {
       return Status::InvalidArgument("expected type name");
     }
-    const std::string& u = Peek().upper;
+    auto is = [u = Peek().text](std::string_view kw) {
+      return EqualsKeyword(u, kw);
+    };
     ValueType t;
-    if (u == "INT" || u == "INTEGER" || u == "BIGINT") {
+    if (is("INT") || is("INTEGER") || is("BIGINT")) {
       t = ValueType::kInt;
-    } else if (u == "DOUBLE" || u == "FLOAT" || u == "REAL" || u == "DECIMAL") {
+    } else if (is("DOUBLE") || is("FLOAT") || is("REAL") || is("DECIMAL")) {
       t = ValueType::kDouble;
-    } else if (u == "TEXT" || u == "VARCHAR" || u == "CHAR" || u == "STRING" ||
-               u == "CLOB" || u == "BLOB") {
+    } else if (is("TEXT") || is("VARCHAR") || is("CHAR") || is("STRING") ||
+               is("CLOB") || is("BLOB")) {
       t = ValueType::kString;
-    } else if (u == "BOOL" || u == "BOOLEAN") {
+    } else if (is("BOOL") || is("BOOLEAN")) {
       t = ValueType::kBool;
     } else {
-      return Status::InvalidArgument("unknown type '" + Peek().text + "'");
+      return Status::InvalidArgument("unknown type '" +
+                                     std::string(Peek().text) + "'");
     }
     Advance();
     // Optional (n) length suffix, ignored (VARCHAR(255)).
@@ -873,10 +928,10 @@ class Parser {
 }  // namespace
 
 Result<Statement> Parse(const std::string& sql) {
-  Lexer lexer(sql);
-  Result<std::vector<Token>> toks = lexer.Tokenize();
-  if (!toks.ok()) return toks.status();
-  Parser parser(toks.TakeValue());
+  std::vector<Token> toks;
+  Status lexed = Lexer(sql).Tokenize(&toks);
+  if (!lexed.ok()) return lexed;
+  Parser parser(std::move(toks));
   return parser.ParseStatement();
 }
 

@@ -27,6 +27,11 @@ namespace replidb::sql {
 /// Expressions: literals, columns, arithmetic, comparisons, AND/OR/NOT,
 /// NOW(), RAND(), NEXTVAL('seq'), ABS/LOWER/UPPER, `col IN (SELECT ...)`,
 /// `col IN (v1, v2, ...)`.
+///
+/// Numeric literals are `digits [. digits] [(e|E) [+|-] digits]`; a
+/// fraction or an exponent makes a double, so the `%.6g` text ToSql
+/// prints for a finite double parses back. An integer literal outside
+/// int64 is an error.
 Result<Statement> Parse(const std::string& sql);
 
 }  // namespace replidb::sql
