@@ -243,9 +243,10 @@ void StatusConsole() {
   c->sim.RunFor(2 * sim::kSecond);  // Drain so slaves reach the head.
 
   std::printf("\n%s", c->ShowReplicaStatus().c_str());
+  ObsOutputs::KeepStatus(*c);
   std::printf("\n(f) machine-readable: Cluster::StatusReport() / JSON via\n"
-              "audit::RenderStatusJson(); REPLIDB_STATUS=1 prints this\n"
-              "console at the end of any bench.\n");
+              "audit::RenderStatusJson(); with REPLIDB_OBS_DIR set, this\n"
+              "console is also written to status.txt.\n");
   std::printf("\n-- metrics registry (prometheus exposition) --\n%s",
               obs::MetricsRegistry::Global().DumpPrometheus().c_str());
 }
@@ -271,8 +272,7 @@ void Run() {
 }  // namespace replidb::bench
 
 int main() {
+  replidb::bench::ObsOutputs obs;
   replidb::bench::Run();
-  replidb::bench::DumpMetricsIfEnabled();
-  replidb::bench::DumpFlightIfEnabled();
   return 0;
 }

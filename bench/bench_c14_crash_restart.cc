@@ -168,9 +168,7 @@ void Run() {
 }  // namespace replidb::bench
 
 int main() {
-  replidb::bench::InitTracingFromEnv();
+  replidb::bench::ObsOutputs obs;
   replidb::bench::Run();
-  replidb::bench::WriteTraceIfEnabled();
-  replidb::bench::DumpFlightIfEnabled();
   return 0;
 }

@@ -66,7 +66,7 @@ void Run() {
 }  // namespace replidb::bench
 
 int main() {
+  replidb::bench::ObsOutputs obs;
   replidb::bench::Run();
-  replidb::bench::DumpFlightIfEnabled();
   return 0;
 }

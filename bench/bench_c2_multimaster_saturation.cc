@@ -61,9 +61,7 @@ void Run() {
 }  // namespace replidb::bench
 
 int main() {
-  replidb::bench::InitWaitEdgesFromEnv();
+  replidb::bench::ObsOutputs obs;
   replidb::bench::Run();
-  replidb::bench::WriteWaitEdgesIfEnabled();
-  replidb::bench::DumpFlightIfEnabled();
   return 0;
 }

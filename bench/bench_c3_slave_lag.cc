@@ -315,11 +315,7 @@ void Run() {
 }  // namespace replidb::bench
 
 int main() {
-  replidb::bench::InitTracingFromEnv();
-  replidb::bench::InitWaitEdgesFromEnv();
+  replidb::bench::ObsOutputs obs;
   replidb::bench::Run();
-  replidb::bench::WriteTraceIfEnabled();
-  replidb::bench::WriteWaitEdgesIfEnabled();
-  replidb::bench::DumpFlightIfEnabled();
   return 0;
 }

@@ -261,7 +261,7 @@ void OnlineDivergenceAudit() {
                   TablePrinter::Int(
                       static_cast<int64_t>(auditor.divergences().size())),
                   first});
-    PrintStatusIfEnabled(*c);
+    ObsOutputs::KeepStatus(*c);
     if (mode == ReplicationMode::kMultiMasterStatement &&
         !auditor.divergences().empty()) {
       std::printf(
@@ -303,8 +303,7 @@ void Run() {
 }  // namespace replidb::bench
 
 int main() {
+  replidb::bench::ObsOutputs obs;
   replidb::bench::Run();
-  replidb::bench::DumpMetricsIfEnabled();
-  replidb::bench::DumpFlightIfEnabled();
   return 0;
 }

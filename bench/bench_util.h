@@ -1,6 +1,7 @@
 #ifndef REPLIDB_BENCH_BENCH_UTIL_H_
 #define REPLIDB_BENCH_BENCH_UTIL_H_
 
+#include <sys/stat.h>
 #include <time.h>
 
 #include <algorithm>
@@ -193,82 +194,6 @@ inline std::vector<std::pair<std::string, std::string>> DefaultStages() {
       {"mw.txn_total", "middleware.txn.total_ms"},
       {"client.txn_total", "client.txn.total_ms"},
   };
-}
-
-/// \brief Enables span tracing when REPLIDB_TRACE=<path> is set. Call once
-/// at the top of main(); pair with WriteTraceIfEnabled() before exit.
-inline void InitTracingFromEnv() { obs::Tracer::InitFromEnv(); }
-
-/// Writes the chrome://tracing JSON to the REPLIDB_TRACE path (if tracing
-/// was enabled) and prints a short text timeline. Load the file in
-/// Perfetto (https://ui.perfetto.dev) or chrome://tracing.
-inline void WriteTraceIfEnabled() {
-  const char* path = obs::Tracer::InitFromEnv();
-  if (path == nullptr || !obs::Tracer::Global().enabled()) return;
-  if (obs::Tracer::Global().WriteChromeTrace(path)) {
-    std::printf("\ntrace: %zu events -> %s (open in Perfetto)\n",
-                obs::Tracer::Global().event_count(), path);
-  } else {
-    std::printf("\ntrace: FAILED to write %s\n", path);
-  }
-}
-
-/// \brief Dumps the whole MetricsRegistry at bench exit when
-/// REPLIDB_METRICS_DUMP is set: "-" prints Prometheus text to stdout, a
-/// path ending in ".json" writes the JSON dump, any other path writes the
-/// Prometheus text exposition. Call last in main().
-inline void DumpMetricsIfEnabled() {
-  const char* path = std::getenv("REPLIDB_METRICS_DUMP");
-  if (path == nullptr || *path == '\0') return;
-  auto& registry = obs::MetricsRegistry::Global();
-  if (std::strcmp(path, "-") == 0) {
-    std::printf("\n-- metrics (prometheus exposition) --\n%s",
-                registry.DumpPrometheus().c_str());
-    return;
-  }
-  size_t len = std::strlen(path);
-  bool json = len > 5 && std::strcmp(path + len - 5, ".json") == 0;
-  std::string body = json ? registry.DumpJson() : registry.DumpPrometheus();
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("\nmetrics: FAILED to write %s\n", path);
-    return;
-  }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  std::printf("\nmetrics: %zu metrics -> %s (%s)\n", registry.size(), path,
-              json ? "json" : "prometheus");
-}
-
-/// \brief Dumps the flight recorder's event tail to stderr at bench exit
-/// when REPLIDB_FLIGHT_DUMP is set (non-empty). Call last in main().
-inline void DumpFlightIfEnabled() {
-  const char* v = std::getenv("REPLIDB_FLIGHT_DUMP");
-  if (v == nullptr || *v == '\0') return;
-  obs::FlightRecorder::Global().Dump(stderr);
-}
-
-/// \brief Enables the wait-edge sidecar when REPLIDB_WAIT_EDGES=<path> is
-/// set. Call once at the top of main(); pair with
-/// WriteWaitEdgesIfEnabled() before exit. Benches that always profile
-/// (the critical-path scenario benches) call EnableCriticalPath()
-/// regardless; this hook only controls the sidecar file.
-inline void InitWaitEdgesFromEnv() {
-  obs::CriticalPathCollector::InitFromEnv();
-}
-
-/// Writes the wait-edge JSONL sidecar to the REPLIDB_WAIT_EDGES path (if
-/// set). Analyze offline with tools/txnpath.
-inline void WriteWaitEdgesIfEnabled() {
-  const char* path = obs::CriticalPathCollector::InitFromEnv();
-  if (path == nullptr) return;
-  auto& cp = obs::CriticalPathCollector::Global();
-  if (cp.WriteWaitEdges(path)) {
-    std::printf("\nwait-edges: %llu chains -> %s (analyze with txnpath)\n",
-                static_cast<unsigned long long>(cp.closed_chains()), path);
-  } else {
-    std::printf("\nwait-edges: FAILED to write %s\n", path);
-  }
 }
 
 /// Turns on the critical-path collector for a bench run and stamps it
@@ -482,20 +407,84 @@ inline void PrintSeriesCurve(const Cluster& c, const std::string& series,
   }
 }
 
-/// \brief Prints the SHOW REPLICA STATUS console for a cluster when
-/// REPLIDB_STATUS is set (any non-empty value; "json" selects the JSON
-/// rendering). Benches demonstrating the console call the renderers
-/// directly; this hook adds it to any bench for free.
-inline void PrintStatusIfEnabled(const Cluster& c) {
-  const char* v = std::getenv("REPLIDB_STATUS");
-  if (v == nullptr || *v == '\0') return;
-  audit::StatusSnapshot snap = c.StatusReport();
-  if (std::strcmp(v, "json") == 0) {
-    std::printf("\n%s\n", audit::RenderStatusJson(snap).c_str());
-  } else {
-    std::printf("\n%s", audit::RenderReplicaStatus(snap).c_str());
+/// \brief The bench's observability outputs, switched on by one variable.
+/// Declare one at the top of main(). When REPLIDB_OBS_DIR names a
+/// directory (created if missing), construction turns on the
+/// critical-path collector and destruction writes into the directory:
+///
+///   trace.json        chrome://tracing / Perfetto view, rendered from the
+///                     retained chains and the flight recorder
+///   wait_edges.jsonl  critical-path sidecar (analyze with tools/txnpath)
+///   flight.txt        flight-recorder tail
+///   metrics.json      the MetricsRegistry as JSON
+///   metrics.prom      the MetricsRegistry as Prometheus text
+///   status.txt        SHOW REPLICA STATUS consoles kept by KeepStatus()
+///
+/// A bench that resets the collector or the registry between
+/// configurations leaves only its last configuration in those files.
+/// Unset or empty, nothing is enabled or written.
+class ObsOutputs {
+ public:
+  ObsOutputs() {
+    if (Dir().empty()) return;
+    ::mkdir(Dir().c_str(), 0755);
+    obs::CriticalPathCollector::Global().Enable();
   }
-}
+  ObsOutputs(const ObsOutputs&) = delete;
+  ObsOutputs& operator=(const ObsOutputs&) = delete;
+
+  ~ObsOutputs() {
+    if (Dir().empty()) return;
+    auto& cp = obs::CriticalPathCollector::Global();
+    auto& flight = obs::FlightRecorder::Global();
+    auto& registry = obs::MetricsRegistry::Global();
+    Write("trace.json",
+          obs::RenderChromeTrace(cp.RetainedChains(), flight.MergedEvents()));
+    Write("wait_edges.jsonl", cp.RenderWaitEdgesJsonl());
+    Write("metrics.json", registry.DumpJson());
+    Write("metrics.prom", registry.DumpPrometheus());
+    if (!Status().empty()) Write("status.txt", Status());
+    std::FILE* f = std::fopen((Dir() + "flight.txt").c_str(), "w");
+    if (f != nullptr) flight.Dump(f);
+    if (f == nullptr || std::fclose(f) != 0) {
+      std::printf("obs: FAILED to write %sflight.txt\n", Dir().c_str());
+    }
+    std::printf("\nobs: outputs written to %s\n", Dir().c_str());
+  }
+
+  /// Keeps `c`'s SHOW REPLICA STATUS console for status.txt (no-op when
+  /// REPLIDB_OBS_DIR is unset). Call while the cluster is still alive.
+  static void KeepStatus(const Cluster& c) {
+    if (Dir().empty()) return;
+    Status() += c.ShowReplicaStatus();
+  }
+
+ private:
+  /// REPLIDB_OBS_DIR with a trailing '/', or empty when unset.
+  static const std::string& Dir() {
+    static const std::string dir = [] {
+      const char* v = std::getenv("REPLIDB_OBS_DIR");
+      std::string d = v == nullptr ? "" : v;
+      if (!d.empty() && d.back() != '/') d += '/';
+      return d;
+    }();
+    return dir;
+  }
+
+  static std::string& Status() {
+    static std::string status;
+    return status;
+  }
+
+  static void Write(const char* name, const std::string& body) {
+    std::string path = Dir() + name;
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    bool ok = f != nullptr &&
+              std::fwrite(body.data(), 1, body.size(), f) == body.size();
+    if (f != nullptr && std::fclose(f) != 0) ok = false;
+    if (!ok) std::printf("obs: FAILED to write %s\n", path.c_str());
+  }
+};
 
 }  // namespace replidb::bench
 

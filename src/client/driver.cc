@@ -56,8 +56,7 @@ Driver::Driver(sim::Simulator* sim, net::Network* network, net::NodeId node,
 void Driver::Submit(middleware::TxnRequest request, Callback cb) {
   ++submitted_;
   DriverMetrics::Get().submitted->Increment();
-  if ((obs::TracingEnabled() || obs::CriticalPathEnabled()) &&
-      request.trace.id == 0) {
+  if (obs::CriticalPathEnabled() && request.trace.id == 0) {
     request.trace.id = obs::NextTraceId();
   }
   uint64_t req_id = next_req_++;
@@ -139,12 +138,6 @@ void Driver::HandleReply(const net::Message& m) {
   DriverMetrics::Get().completed->Increment();
   if (!r.status.ok()) DriverMetrics::Get().gave_up->Increment();
   DriverMetrics::Get().txn_ms->Observe(sim::ToMillis(final_result.latency));
-  if (obs::TracingEnabled()) {
-    obs::Tracer::Global().Span(
-        "client." + std::to_string(id()),
-        out.request.read_only ? "txn.read" : "txn.write", out.started,
-        sim_->Now(), out.request.trace.id);
-  }
   if (obs::CriticalPathEnabled() && out.request.trace.id != 0) {
     obs::CriticalPathCollector::Global().CloseChain(
         obs::ChainKind::kClient, out.request.trace.id, 0, sim_->Now(),
@@ -172,11 +165,6 @@ void Driver::OnTimeout(uint64_t req_id) {
   ++gave_up_;
   DriverMetrics::Get().completed->Increment();
   DriverMetrics::Get().gave_up->Increment();
-  if (obs::TracingEnabled()) {
-    obs::Tracer::Global().Span("client." + std::to_string(id()),
-                               "txn.gave_up", out.started, sim_->Now(),
-                               out.request.trace.id);
-  }
   if (obs::CriticalPathEnabled() && out.request.trace.id != 0) {
     obs::CriticalPathCollector::Global().CloseChain(
         obs::ChainKind::kClient, out.request.trace.id, 0, sim_->Now(),

@@ -37,8 +37,6 @@ namespace replidb::common {
   /* obs/metrics.h — per-HistogramMetric sample buffer. Inner to the       \
      registry lock (Snapshot() walks entries while holding it). */         \
   X(MetricHistogram, 30)                                                    \
-  /* obs/trace.cc — Tracer span/event buffer. Leaf. */                     \
-  X(Tracer, 40)                                                             \
   /* obs/timeseries.cc — TimeSeriesHub series/probe maps. Held while       \
      probes run, so probes must not take any replidb lock. */              \
   X(TimeSeriesHub, 50)                                                      \

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace replidb::gcs {
 
@@ -120,11 +120,11 @@ void GroupMember::RecomputeView() {
   next.view_id = view_.view_id + 1;
   view_ = next;
   GcsMetrics::Get().view_changes->Increment();
-  if (obs::TracingEnabled()) {
-    obs::Tracer::Global().Instant("gcs." + std::to_string(id()),
-                                  "view." + std::to_string(view_.view_id),
-                                  sim_->Now());
-  }
+  obs::FlightRecorder::Global().Record(
+      sim_->Now(), id(), obs::FlightEventKind::kViewChange,
+      "gcs view=" + std::to_string(view_.view_id) +
+          " members=" + std::to_string(view_.members.size()) +
+          " sequencer=" + std::to_string(view_.sequencer));
 
   if (sequencer_changed) {
     // Receivers drop buffered out-of-order messages: the old sequencer's

@@ -8,7 +8,6 @@
 #include "obs/critical_path.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
-#include "obs/trace.h"
 #include "sql/parser.h"
 
 namespace replidb::middleware {
@@ -306,13 +305,11 @@ void Controller::HandleAuditReport(const net::Message& m) {
                       << d.table << " (epoch " << d.epoch << ", version "
                       << d.version << ", digest " << d.actual_digest
                       << " != " << d.expected_digest << ")";
-    if (obs::TracingEnabled()) {
-      obs::Tracer::Global().Instant(
-          "controller." + std::to_string(id()),
-          "audit.divergence(" + d.table + "@" + std::to_string(d.replica) +
-              ")",
-          sim_->Now());
-    }
+    obs::FlightRecorder::Global().Record(
+        sim_->Now(), id(), obs::FlightEventKind::kDivergence,
+        "replica=" + std::to_string(d.replica) + " table=" + d.table +
+            " epoch=" + std::to_string(d.epoch) +
+            " version=" + std::to_string(d.version));
   }
 }
 
@@ -593,11 +590,6 @@ void Controller::HandleClientTxn(const net::Message& m) {
     p->routed = sim_->Now();
     ControllerMetrics::Get().process_ms->Observe(
         sim::ToMillis(p->routed - p->arrived));
-    if (obs::TracingEnabled()) {
-      obs::Tracer::Global().Span("controller." + std::to_string(id()),
-                                 "mw.process", p->arrived, p->routed,
-                                 p->request.trace.id);
-    }
     if (p->is_write) {
       RouteWrite(p);
     } else {
@@ -1149,12 +1141,6 @@ void Controller::FinishRequest(Pending* p, TxnResult result) {
   }
   ControllerMetrics::Get().total_ms->Observe(
       sim::ToMillis(sim_->Now() - p->arrived));
-  if (obs::TracingEnabled()) {
-    obs::Tracer::Global().Span(
-        "controller." + std::to_string(id()),
-        result.status.ok() ? "mw.txn" : "mw.txn.failed", p->arrived,
-        sim_->Now(), p->request.trace.id);
-  }
   sim_->Cancel(p->timer);
   auto client_key = std::make_pair(p->client, p->client_req_id);
   active_client_reqs_.erase(client_key);
@@ -1254,18 +1240,10 @@ void Controller::OnReplicaSuspicion(net::NodeId replica, bool suspect) {
     if (info->state == ReplicaState::kDown) return;
     REPLIDB_LOG(Info) << "controller: replica " << replica << " suspected";
     ControllerMetrics::Get().suspicions->Increment();
-    // One clock read per event site: the flight record and the trace
-    // instant must carry the same timestamp.
-    const sim::TimePoint now = sim_->Now();
     obs::FlightRecorder::Global().Record(
-        now, id(), obs::FlightEventKind::kSuspicion,
+        sim_->Now(), id(), obs::FlightEventKind::kSuspicion,
         "replica=" + std::to_string(replica) +
             " applied=" + std::to_string(info->applied));
-    if (obs::TracingEnabled()) {
-      obs::Tracer::Global().Instant("controller." + std::to_string(id()),
-                                    "suspect." + std::to_string(replica),
-                                    now);
-    }
     info->state = ReplicaState::kDown;
     info->outstanding = 0;
     recovery_log_.SetCheckpoint(replica, info->applied);
@@ -1274,11 +1252,9 @@ void Controller::OnReplicaSuspicion(net::NodeId replica, bool suspect) {
     if (info->state != ReplicaState::kDown) return;
     REPLIDB_LOG(Info) << "controller: replica " << replica << " back";
     ControllerMetrics::Get().suspicion_clears->Increment();
-    if (obs::TracingEnabled()) {
-      obs::Tracer::Global().Instant("controller." + std::to_string(id()),
-                                    "unsuspect." + std::to_string(replica),
-                                    sim_->Now());
-    }
+    obs::FlightRecorder::Global().Record(
+        sim_->Now(), id(), obs::FlightEventKind::kSuspicion,
+        "replica=" + std::to_string(replica) + " cleared");
     StartResync(replica);
   }
 }
@@ -1303,8 +1279,7 @@ void Controller::PromoteNewMaster() {
   }
   ++stats_.failovers;
   ControllerMetrics::Get().failovers->Increment();
-  // One clock read per event site: both flight events and the trace
-  // instant describe the same failover moment.
+  // One clock read: both flight events describe the same failover moment.
   const sim::TimePoint now = sim_->Now();
   obs::FlightRecorder::Global().Record(
       now, id(), obs::FlightEventKind::kFailover,
@@ -1315,11 +1290,6 @@ void Controller::PromoteNewMaster() {
       now, id(), obs::FlightEventKind::kViewChange,
       "master change: " + std::to_string(old_master) + " -> " +
           std::to_string(best));
-  if (obs::TracingEnabled()) {
-    obs::Tracer::Global().Instant("controller." + std::to_string(id()),
-                                  "failover." + std::to_string(best),
-                                  now);
-  }
   // 1-safe loss accounting: acked versions beyond the most caught-up
   // survivor are gone (§2.2). The failed master still holds them on its
   // disk, so if it ever rejoins it must be re-cloned, not replayed.
@@ -1439,18 +1409,11 @@ void Controller::CheckResyncDone(net::NodeId replica) {
   info->state = ReplicaState::kOnline;
   ++stats_.resyncs_completed;
   ControllerMetrics::Get().resyncs_completed->Increment();
-  // One clock read per event site (flight record + trace instant).
-  const sim::TimePoint now = sim_->Now();
   obs::FlightRecorder::Global().Record(
-      now, id(), obs::FlightEventKind::kResyncPhase,
+      sim_->Now(), id(), obs::FlightEventKind::kResyncPhase,
       "online: replica=" + std::to_string(replica) +
           " applied=" + std::to_string(info->applied));
   ReplayBehindGauge(replica)->Set(0);
-  if (obs::TracingEnabled()) {
-    obs::Tracer::Global().Instant("controller." + std::to_string(id()),
-                                  "resynced." + std::to_string(replica),
-                                  now);
-  }
   REPLIDB_LOG(Info) << "controller: replica " << replica << " resynced to v"
                     << info->applied;
   if (master_ < 0) PromoteNewMaster();

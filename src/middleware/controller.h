@@ -410,7 +410,6 @@ class Controller {
                               std::function<void(Status)> on_done);
   uint64_t next_req_ = 1;
   size_t round_robin_ = 0;
-  sim::TimePoint busy_until_ = 0;
   std::vector<sim::TimePoint> workers_free_;
 
   bool crashed_ = false;

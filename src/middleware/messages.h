@@ -21,7 +21,6 @@ inline constexpr char kMsgExec[] = "rep.exec";
 inline constexpr char kMsgExecReply[] = "rep.exec.r";
 inline constexpr char kMsgFinish[] = "rep.finish";
 inline constexpr char kMsgFinishReply[] = "rep.finish.r";
-inline constexpr char kMsgApply[] = "rep.apply";
 inline constexpr char kMsgShipAck[] = "rep.ship.ack";
 inline constexpr char kMsgProgress[] = "rep.progress";
 inline constexpr char kMsgBackup[] = "rep.backup";
@@ -151,18 +150,6 @@ struct FinishTxnReply {
   uint64_t req_id = 0;
   Status status;
   GlobalVersion version = 0;
-};
-
-/// Replication stream item (master ship, certified apply, or resync
-/// replay). `skip` marks the origin replica's own slot.
-struct ApplyMsg {
-  ReplicationEntry entry;
-  bool skip = false;
-  /// If >0, the receiver acks receipt to the sender (2-safe shipping).
-  bool ack_requested = false;
-  /// Entry arrived after the first of a shipped batch: its durable apply
-  /// shares the batch's group fsync (ReplicaOptions::apply_group_factor).
-  bool group_follower = false;
 };
 
 struct ShipAckMsg {

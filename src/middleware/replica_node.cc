@@ -9,7 +9,6 @@
 #include "obs/critical_path.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace replidb::middleware {
 
@@ -108,7 +107,6 @@ ReplicaNode::ReplicaNode(sim::Simulator* sim, net::Network* network,
 
   workers_free_.assign(static_cast<size_t>(options_.capacity), 0);
 
-  track_ = "replica." + std::to_string(node);
   auto& registry = obs::MetricsRegistry::Global();
   backlog_gauge_ = registry.GetGauge("replica." + std::to_string(node) +
                                      ".apply_backlog");
@@ -119,7 +117,6 @@ ReplicaNode::ReplicaNode(sim::Simulator* sim, net::Network* network,
 
   dispatcher_->On(kMsgExec, [this](const net::Message& m) { HandleExec(m); });
   dispatcher_->On(kMsgFinish, [this](const net::Message& m) { HandleFinish(m); });
-  dispatcher_->On(kMsgApply, [this](const net::Message& m) { HandleApply(m); });
   dispatcher_->On(kMsgShipAck, [this](const net::Message& m) {
     auto body = std::any_cast<ShipAckMsg>(m.body);
     auto it = pending_sync_.find(body.version);
@@ -334,11 +331,6 @@ void ReplicaNode::StartUnorderedExec(const ExecTxnMsg& msg, net::NodeId from) {
   ReplicaMetrics::Get().exec_queue_wait_ms->Observe(
       sim::ToMillis(start - arrival));
   ReplicaMetrics::Get().exec_service_ms->Observe(sim::ToMillis(cost));
-  if (obs::TracingEnabled()) {
-    obs::Tracer::Global().Span(track_,
-                               msg.read_only ? "exec.read" : "exec.write",
-                               arrival, done, msg.trace_id);
-  }
   uint64_t trace_id = msg.trace_id;
   if (obs::CriticalPathEnabled() && trace_id != 0) {
     auto& cp = obs::CriticalPathCollector::Global();
@@ -386,7 +378,7 @@ void ReplicaNode::StartUnorderedExec(const ExecTxnMsg& msg, net::NodeId from) {
         send_reply();
       };
       pending_sync_[reply.committed_version] = std::move(ps);
-      ShipCommitted(/*sync_acks_for_version=*/1, reply.committed_version);
+      ShipCommitted(reply.committed_version);
       return;
     }
     send_reply();
@@ -516,13 +508,6 @@ void ReplicaNode::HandleFinish(const net::Message& m) {
 
 // ---------------------------------------------------------------------------
 // Ordered replication stream
-
-void ReplicaNode::HandleApply(const net::Message& m) {
-  if (crashed_) return;
-  auto msg = std::any_cast<ApplyMsg>(m.body);
-  EnqueueOrdered(std::move(msg), m.from);
-  DrainOrderedBuffer();
-}
 
 bool ReplicaNode::EnqueueOrdered(ApplyMsg msg, net::NodeId from) {
   GlobalVersion v = msg.entry.version;
@@ -798,14 +783,6 @@ void ReplicaNode::DrainOrderedBuffer() {
     rm.apply_dep_wait_ms->Observe(sim::ToMillis(t.dep_ready - now));
     rm.apply_service_ms->Observe(sim::ToMillis(cost));
     rm.apply_commit_wait_ms->Observe(sim::ToMillis(completion - finish));
-    if (obs::TracingEnabled()) {
-      obs::Tracer& tracer = obs::Tracer::Global();
-      if (start > arrival) tracer.Span(track_, "apply.wait", arrival, start, v);
-      tracer.Span(track_, "apply.exec", start, finish, v);
-      if (completion > finish) {
-        tracer.Span(track_, "apply.commit", finish, completion, v);
-      }
-    }
 
     int64_t origin_us = item.entry.origin_commit_us;
     if (obs::CriticalPathEnabled()) {
@@ -904,9 +881,7 @@ void ReplicaNode::DrainOrderedBuffer() {
 // ---------------------------------------------------------------------------
 // Shipping (master role)
 
-void ReplicaNode::ShipCommitted(int sync_acks_for_version,
-                                GlobalVersion sync_version) {
-  (void)sync_acks_for_version;
+void ReplicaNode::ShipCommitted(GlobalVersion sync_version) {
   const auto& binlog = engine_->binlog();
   // Stage 1 — fold freshly committed engine-binlog entries into the
   // durable log. Only a shipping master converts (a slave's engine

@@ -75,6 +75,20 @@ struct ReplicaOptions {
   } binlog;
 };
 
+/// One slot of a replica's ordered replication stream: a shipped entry, a
+/// statement-mode write, or a certified transaction's version. Buffered
+/// in-process only; it never goes on the wire. `skip` marks the origin
+/// replica's own slot.
+struct ApplyMsg {
+  ReplicationEntry entry;
+  bool skip = false;
+  /// The receiver acks receipt to the sender (2-safe shipping).
+  bool ack_requested = false;
+  /// Entry arrived after the first of a shipped batch: its durable apply
+  /// shares the batch's group fsync (ReplicaOptions::apply_group_factor).
+  bool group_follower = false;
+};
+
 /// \brief A database replica: one Rdbms engine attached to a simulated
 /// cluster node, with a worker-pool queueing model, an ordered replication
 /// stream, master-side log shipping, and backup/restore endpoints.
@@ -191,11 +205,10 @@ class ReplicaNode {
   /// Applies the hot-table cache model; returns the adjusted cost.
   int64_t TouchCache(const std::vector<std::string>& tables, int64_t cost);
   void HandleFinish(const net::Message& m);
-  void HandleApply(const net::Message& m);
   void HandleShipBatch(const net::Message& m);
-  /// Queues one ingested entry into the ordered stream (shared by the
-  /// legacy kMsgApply path and the batch ingest path). Returns false for
-  /// duplicates.
+  /// Queues one entry ingested from a ship batch into the ordered
+  /// stream, acking receipt when the sender asked for it. Returns false
+  /// for duplicates.
   bool EnqueueOrdered(ApplyMsg msg, net::NodeId from);
   /// Grants matured byte credits (entries applied up to applied_version_)
   /// back to their senders.
@@ -218,9 +231,10 @@ class ReplicaNode {
   sim::TimePoint ChargeWorker(int64_t cost_us,
                               sim::TimePoint* start_out = nullptr);
 
-  /// Ships binlog-derived entries committed after last_shipped_.
-  void ShipCommitted(int sync_acks_for_version = 0,
-                     GlobalVersion sync_version = 0);
+  /// Ships binlog-derived entries committed after last_shipped_. A
+  /// non-zero `sync_version` is shipped with a receipt-ack request
+  /// (2-safe commit).
+  void ShipCommitted(GlobalVersion sync_version = 0);
   /// Re-seeks the ship cursor at last_shipped_. Called wherever
   /// last_shipped_ or the durable log is reset; shipping itself only
   /// resumes the cursor.
@@ -340,11 +354,10 @@ class ReplicaNode {
   net::NodeId controller_ = -1;  ///< Set by the controller at registration.
   int software_version_ = 1;
 
-  // Observability: per-node gauges + the trace track name, resolved once.
+  // Observability: per-node gauges, resolved once.
   obs::Gauge* backlog_gauge_ = nullptr;  ///< replica.<id>.apply_backlog.
   obs::Gauge* lag_ms_gauge_ = nullptr;   ///< replica.<id>.lag_ms.
   obs::Gauge* sched_keys_gauge_ = nullptr;  ///< replica.<id>.sched_keys.
-  std::string track_;                    ///< Trace track, "replica.<id>".
 };
 
 }  // namespace replidb::middleware

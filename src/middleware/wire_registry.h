@@ -29,7 +29,6 @@ namespace replidb::middleware {
   X(MirrorAckMsg, kMsgMirrorAck)            \
   X(FinishTxnMsg, kMsgFinish)               \
   X(FinishTxnReply, kMsgFinishReply)        \
-  X(ApplyMsg, kMsgApply)                    \
   X(ShipAckMsg, kMsgShipAck)                \
   X(ProgressMsg, kMsgProgress)              \
   X(BackupMsg, kMsgBackup)                  \

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace replidb::net {
 namespace {
@@ -26,7 +26,7 @@ constexpr char kKaProbe[] = "ka.probe";
 constexpr char kKaAck[] = "ka.ack";
 
 /// Shared suspicion bookkeeping for both detector flavors: counters plus a
-/// trace instant so Perfetto shows the suspicion timeline per watcher.
+/// flight event on the watcher, so the trace shows each suspicion timeline.
 void RecordSuspicion(const char* detector, NodeId watcher, NodeId target,
                      bool suspect, sim::Simulator* sim) {
   auto& r = obs::MetricsRegistry::Global();
@@ -34,13 +34,10 @@ void RecordSuspicion(const char* detector, NodeId watcher, NodeId target,
   static obs::Counter* cleared =
       r.GetCounter("net.detector.suspicions_cleared");
   (suspect ? raised : cleared)->Increment();
-  if (obs::TracingEnabled()) {
-    obs::Tracer::Global().Instant(
-        "detector." + std::to_string(watcher),
-        std::string(detector) + (suspect ? ".suspect." : ".clear.") +
-            std::to_string(target),
-        sim->Now());
-  }
+  obs::FlightRecorder::Global().Record(
+      sim->Now(), watcher, obs::FlightEventKind::kSuspicion,
+      std::string(detector) + " target=" + std::to_string(target) +
+          (suspect ? " suspect" : " cleared"));
 }
 }  // namespace
 

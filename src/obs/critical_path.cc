@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 namespace replidb::obs {
 
@@ -127,18 +126,6 @@ CriticalPathCollector& CriticalPathCollector::Global() {
   return *collector;
 }
 
-const char* CriticalPathCollector::InitFromEnv() {
-  static const char* path = [] {
-    const char* p = std::getenv("REPLIDB_WAIT_EDGES");
-    if (p != nullptr && *p != '\0') {
-      Global().Enable();
-      return p;
-    }
-    return static_cast<const char*>(nullptr);
-  }();
-  return path;
-}
-
 void CriticalPathCollector::SetMode(const std::string& mode) {
   std::lock_guard<common::OrderedMutex> lock(mu_);
   mode_ = mode;
@@ -215,11 +202,7 @@ void CriticalPathCollector::CloseChain(ChainKind kind, uint64_t id,
     if (exemplars_.size() > kMaxExemplars) exemplars_.pop_back();
   }
 
-  if (retained_.size() < kMaxRetainedChains) {
-    c.edges.clear();  // Sidecar lines carry stages only; exemplars carry edges.
-    c.edges.shrink_to_fit();
-    retained_.push_back(std::move(c));
-  }
+  if (retained_.size() < kMaxRetainedChains) retained_.push_back(std::move(c));
 }
 
 void CriticalPathCollector::Reset() {
@@ -418,17 +401,6 @@ std::string CriticalPathCollector::RenderWaitEdgesJsonl() const {
     AppendChainJson(c, /*with_edges=*/true, &out);
   }
   return out;
-}
-
-bool CriticalPathCollector::WriteWaitEdges(const std::string& path) const {
-  std::string body = RenderWaitEdgesJsonl();
-  // replicheck:allow(raw-io) diagnostics sidecar, not durable state: best-effort dump, no crash-safety claim
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  // replicheck:allow(raw-io) diagnostics sidecar, not durable state
-  size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  int rc = std::fclose(f);
-  return written == body.size() && rc == 0;
 }
 
 }  // namespace replidb::obs

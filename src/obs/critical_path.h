@@ -91,8 +91,8 @@ std::vector<PathSegment> SegmentWaitEdges(std::vector<WaitEdge> edges,
                                           int64_t open_us, int64_t close_us,
                                           int64_t* stage_us);
 
-/// A finished chain: window, outcome, and its segmented attribution.
-/// `edges` is only retained for tail exemplars (empty otherwise).
+/// A finished chain: window, outcome, its segmented attribution and the
+/// raw edges it was segmented from.
 struct ChainSummary {
   ChainKind kind = ChainKind::kClient;
   uint64_t id = 0;    ///< Trace id (client) or version (apply).
@@ -133,10 +133,6 @@ class CriticalPathCollector {
 
   static CriticalPathCollector& Global();
 
-  /// Reads REPLIDB_WAIT_EDGES once: when set (non-empty), enables the
-  /// collector. Returns the sidecar output path, or nullptr when unset.
-  static const char* InitFromEnv();
-
   bool enabled() const { return enabled_; }
   void Enable() { enabled_ = true; }
   void Disable() { enabled_ = false; }
@@ -170,8 +166,9 @@ class CriticalPathCollector {
   uint64_t closed_chains() const;
   uint64_t dropped_chains() const;  ///< Chains refused at the open cap.
 
-  /// Closed-chain summaries retained for the sidecar (capped; oldest
-  /// kept). Exemplar chains carry their raw edges.
+  /// Closed-chain summaries with their edges (capped at
+  /// kMaxRetainedChains; oldest kept): the sidecar's stage lines and the
+  /// chains RenderChromeTrace draws.
   std::vector<ChainSummary> RetainedChains() const;
 
   /// Slowest chains by window length (up to kMaxExemplars), slowest
@@ -192,9 +189,6 @@ class CriticalPathCollector {
   /// JSONL sidecar: one chain summary per line (exemplars with edges),
   /// consumed by tools/txnpath.
   std::string RenderWaitEdgesJsonl() const;
-
-  /// Writes RenderWaitEdgesJsonl() to `path`. Returns false on I/O error.
-  bool WriteWaitEdges(const std::string& path) const;
 
   static constexpr size_t kMaxExemplars = 64;
   static constexpr size_t kMaxOpenChains = 1u << 16;

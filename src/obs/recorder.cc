@@ -25,6 +25,8 @@ const char* FlightEventKindName(FlightEventKind kind) {
       return "failover";
     case FlightEventKind::kBinlog:
       return "binlog";
+    case FlightEventKind::kDivergence:
+      return "divergence";
     case FlightEventKind::kOther:
       return "other";
   }

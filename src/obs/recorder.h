@@ -26,18 +26,22 @@ namespace replidb::obs {
 /// It is a process-global singleton: recording sites in the controller and
 /// ship pipeline call `FlightRecorder::Global().Record(...)` and a
 /// REPLIDB_CHECK failure hook dumps the tail automatically (see
-/// InstallCheckHook). Benches honor REPLIDB_FLIGHT_DUMP=1 to dump at exit.
+/// InstallCheckHook). Benches write the tail to flight.txt under
+/// REPLIDB_OBS_DIR, and RenderChromeTrace (obs/trace.h) draws each
+/// retained event as an instant.
 
 /// Kinds of control-plane events worth replaying post-mortem.
 enum class FlightEventKind {
   kViewChange,    ///< Membership/epoch change (incl. initial view).
-  kSuspicion,     ///< Failure detector suspected a replica.
+  kSuspicion,     ///< A replica suspected by a failure detector or the
+                  ///< controller, or cleared again.
   kCreditStall,   ///< Writeset shipping blocked on the credit window.
   kCreditResume,  ///< Shipping resumed after a stall.
   kCertAbort,     ///< Certification aborted a transaction.
   kResyncPhase,   ///< Recovering replica entered a resync phase.
   kFailover,      ///< Master promotion.
   kBinlog,        ///< Durable-log lifecycle: checkpoint, truncate, recover.
+  kDivergence,    ///< The online auditor found a replica's table diverged.
   kOther,         ///< Anything else a subsystem finds noteworthy.
 };
 

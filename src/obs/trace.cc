@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
+#include <cstdio>
+#include <map>
+#include <utility>
+
+#include "obs/critical_path.h"
+#include "obs/recorder.h"
 
 namespace replidb::obs {
 
@@ -16,95 +21,6 @@ uint64_t NextTraceId() {
 
 void ResetTraceIds() {
   g_next_trace_id.store(1, std::memory_order_relaxed);
-}
-
-Tracer& Tracer::Global() {
-  static Tracer* tracer = new Tracer();
-  return *tracer;
-}
-
-const char* Tracer::InitFromEnv() {
-  static const char* path = [] {
-    const char* p = std::getenv("REPLIDB_TRACE");
-    if (p == nullptr || p[0] == '\0') return static_cast<const char*>(nullptr);
-    Global().Enable();
-    return p;
-  }();
-  return path;
-}
-
-void Tracer::Clear() {
-  std::lock_guard<common::OrderedMutex> lock(mu_);
-  events_.clear();
-  dropped_ = 0;
-}
-
-int32_t Tracer::TrackIdLocked(const std::string& track) {
-  auto it = track_ids_.find(track);
-  if (it != track_ids_.end()) return it->second;
-  int32_t id = static_cast<int32_t>(track_names_.size());
-  track_ids_[track] = id;
-  track_names_.push_back(track);
-  return id;
-}
-
-bool Tracer::PushLocked(Event e) {
-  if (events_.size() >= kMaxEvents) {
-    ++dropped_;
-    return false;
-  }
-  events_.push_back(std::move(e));
-  return true;
-}
-
-void Tracer::Span(const std::string& track, const std::string& name,
-                  int64_t start_us, int64_t end_us, uint64_t txn) {
-  if (!enabled_) return;
-  std::lock_guard<common::OrderedMutex> lock(mu_);
-  Event e;
-  e.phase = 'X';
-  e.tid = TrackIdLocked(track);
-  e.ts_us = start_us;
-  e.dur_us = std::max<int64_t>(0, end_us - start_us);
-  e.txn = txn;
-  e.value = 0;
-  e.name = name;
-  PushLocked(std::move(e));
-}
-
-void Tracer::Instant(const std::string& track, const std::string& name,
-                     int64_t ts_us, uint64_t txn) {
-  if (!enabled_) return;
-  std::lock_guard<common::OrderedMutex> lock(mu_);
-  Event e;
-  e.phase = 'i';
-  e.tid = TrackIdLocked(track);
-  e.ts_us = ts_us;
-  e.dur_us = 0;
-  e.txn = txn;
-  e.value = 0;
-  e.name = name;
-  PushLocked(std::move(e));
-}
-
-void Tracer::CounterSample(const std::string& series, int64_t ts_us,
-                           double value) {
-  if (!enabled_) return;
-  std::lock_guard<common::OrderedMutex> lock(mu_);
-  Event e;
-  e.phase = 'C';
-  e.tid = 0;
-  e.ts_us = ts_us;
-  e.dur_us = 0;
-  e.txn = 0;
-  e.value = value;
-  e.name = series;
-  PushLocked(std::move(e));
-}
-
-size_t Tracer::event_count() const {
-  std::lock_guard<common::OrderedMutex> lock(mu_);
-  return events_.size();
 }
 
 namespace {
@@ -136,128 +52,125 @@ void AppendJsonEscaped(std::string* out, const std::string& s) {
   }
 }
 
+/// Lane identity: (group, number), ordered client < replica.<n> < node.<n>.
+enum LaneGroup : int { kClientLane = 0, kReplicaLane = 1, kNodeLane = 2 };
+using LaneKey = std::pair<int, int64_t>;
+
+std::string LaneName(const LaneKey& lane) {
+  switch (lane.first) {
+    case kClientLane: return "client";
+    case kReplicaLane: return "replica." + std::to_string(lane.second);
+    default: return "node." + std::to_string(lane.second);
+  }
+}
+
+LaneKey ChainLane(const ChainSummary& c) {
+  if (c.kind == ChainKind::kApply) {
+    return {kReplicaLane, static_cast<int64_t>(c.sub)};
+  }
+  return {kClientLane, 0};
+}
+
+/// One trace event before formatting. Names point at static strings.
+struct Event {
+  char phase;                  ///< 'X' span or 'i' instant.
+  int64_t ts_us;
+  int64_t dur_us;              ///< Spans only.
+  int tid;
+  const char* name;
+  const char* outcome;         ///< Window spans: "<name>.<outcome>".
+  uint64_t txn;                ///< Spans only.
+  const std::string* detail;   ///< Instants only.
+};
+
 }  // namespace
 
-std::string Tracer::ChromeTraceJson() const {
-  std::lock_guard<common::OrderedMutex> lock(mu_);
+std::string RenderChromeTrace(const std::vector<ChainSummary>& chains,
+                              const std::vector<FlightEvent>& flight_events) {
+  std::map<LaneKey, int> lanes;
+  for (const ChainSummary& c : chains) lanes.emplace(ChainLane(c), 0);
+  for (const FlightEvent& e : flight_events) {
+    lanes.emplace(LaneKey{kNodeLane, e.node}, 0);
+  }
+  int next_tid = 0;
+  for (auto& [lane, tid] : lanes) tid = next_tid++;
+
+  std::vector<Event> events;
+  for (const ChainSummary& c : chains) {
+    int tid = lanes.at(ChainLane(c));
+    events.push_back({'X', c.open_us, std::max<int64_t>(0, c.TotalUs()), tid,
+                      ChainKindName(c.kind), ChainOutcomeName(c.outcome),
+                      c.id, nullptr});
+    for (const PathSegment& s :
+         SegmentWaitEdges(c.edges, c.open_us, c.close_us, nullptr)) {
+      events.push_back({'X', s.start_us, s.end_us - s.start_us, tid,
+                        WaitStateName(s.state), nullptr, c.id, nullptr});
+    }
+  }
+  std::vector<const FlightEvent*> flight;
+  flight.reserve(flight_events.size());
+  for (const FlightEvent& e : flight_events) flight.push_back(&e);
+  std::sort(flight.begin(), flight.end(),
+            [](const FlightEvent* a, const FlightEvent* b) {
+              if (a->ts_us != b->ts_us) return a->ts_us < b->ts_us;
+              return a->seq < b->seq;
+            });
+  for (const FlightEvent* e : flight) {
+    events.push_back({'i', e->ts_us, 0, lanes.at(LaneKey{kNodeLane, e->node}),
+                      FlightEventKindName(e->kind), nullptr, 0, &e->detail});
+  }
+  // A chain's window precedes its first segment at the same timestamp,
+  // so the stable sort keeps segments nested inside their window.
+  std::stable_sort(events.begin(), events.end(),
+                   [](const Event& a, const Event& b) {
+                     return a.ts_us < b.ts_us;
+                   });
+
   std::string out;
-  out.reserve(events_.size() * 96 + 1024);
+  out.reserve(events.size() * 96 + lanes.size() * 80 + 32);
   out += "{\"traceEvents\":[";
   char buf[160];
   bool first = true;
-  // Thread-name metadata so the viewer shows subsystem lanes by name.
-  for (size_t i = 0; i < track_names_.size(); ++i) {
+  for (const auto& [lane, tid] : lanes) {
     if (!first) out += ',';
     first = false;
     std::snprintf(buf, sizeof(buf),
                   "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-                  "\"tid\":%zu,\"args\":{\"name\":\"",
-                  i);
+                  "\"tid\":%d,\"args\":{\"name\":\"",
+                  tid);
     out += buf;
-    AppendJsonEscaped(&out, track_names_[i]);
+    AppendJsonEscaped(&out, LaneName(lane));
     out += "\"}}";
   }
-  // Emit in virtual-time order (stable on ties) so consumers can rely on
-  // per-thread timestamps being monotonically non-decreasing; recording
-  // order interleaves retroactively-closed spans out of order.
-  std::vector<const Event*> ordered;
-  ordered.reserve(events_.size());
-  for (const Event& e : events_) ordered.push_back(&e);
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const Event* a, const Event* b) {
-                     return a->ts_us < b->ts_us;
-                   });
-  for (const Event* ep : ordered) {
-    const Event& e = *ep;
+  for (const Event& e : events) {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
-    AppendJsonEscaped(&out, e.name);
-    out += "\",";
-    switch (e.phase) {
-      case 'X':
-        std::snprintf(buf, sizeof(buf),
-                      "\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%lld,"
-                      "\"dur\":%lld",
-                      e.tid, static_cast<long long>(e.ts_us),
-                      static_cast<long long>(e.dur_us));
-        out += buf;
-        break;
-      case 'i':
-        std::snprintf(buf, sizeof(buf),
-                      "\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,"
-                      "\"ts\":%lld",
-                      e.tid, static_cast<long long>(e.ts_us));
-        out += buf;
-        break;
-      case 'C':
-        std::snprintf(buf, sizeof(buf),
-                      "\"ph\":\"C\",\"pid\":1,\"ts\":%lld,\"args\":{"
-                      "\"value\":%.3f}",
-                      static_cast<long long>(e.ts_us), e.value);
-        out += buf;
-        break;
+    out += e.name;
+    if (e.outcome != nullptr) {
+      out += '.';
+      out += e.outcome;
     }
-    if (e.txn != 0) {
+    if (e.phase == 'X') {
       std::snprintf(buf, sizeof(buf),
-                    ",\"args\":{\"txn\":%llu}",
+                    "\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%lld,"
+                    "\"dur\":%lld,\"args\":{\"txn\":%llu}}",
+                    e.tid, static_cast<long long>(e.ts_us),
+                    static_cast<long long>(e.dur_us),
                     static_cast<unsigned long long>(e.txn));
       out += buf;
+    } else {
+      std::snprintf(buf, sizeof(buf),
+                    "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,"
+                    "\"ts\":%lld,\"args\":{\"detail\":\"",
+                    e.tid, static_cast<long long>(e.ts_us));
+      out += buf;
+      AppendJsonEscaped(&out, *e.detail);
+      out += "\"}}";
     }
-    out += '}';
   }
   out += "]}";
   return out;
-}
-
-bool Tracer::WriteChromeTrace(const std::string& path) const {
-  std::string json = ChromeTraceJson();
-  // replicheck:allow(raw-io) diagnostics sidecar, not durable state: best-effort dump, no crash-safety claim
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  // replicheck:allow(raw-io) diagnostics sidecar, not durable state
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return written == json.size();
-}
-
-void Tracer::DumpTimeline(std::FILE* out, size_t limit) const {
-  std::lock_guard<common::OrderedMutex> lock(mu_);
-  std::vector<const Event*> ordered;
-  ordered.reserve(events_.size());
-  for (const Event& e : events_) ordered.push_back(&e);
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const Event* a, const Event* b) {
-                     return a->ts_us < b->ts_us;
-                   });
-  std::fprintf(out, "-- trace timeline (%zu events%s) --\n", events_.size(),
-               dropped_ > 0 ? ", capped" : "");
-  size_t n = std::min(limit, ordered.size());
-  for (size_t i = 0; i < n; ++i) {
-    const Event& e = *ordered[i];
-    const char* track =
-        e.phase == 'C' ? "-" : track_names_[static_cast<size_t>(e.tid)].c_str();
-    if (e.phase == 'X') {
-      std::fprintf(out, "[%12.3f ms] %-16s %-28s dur=%.3f ms",
-                   static_cast<double>(e.ts_us) / 1000.0, track,
-                   e.name.c_str(), static_cast<double>(e.dur_us) / 1000.0);
-    } else if (e.phase == 'i') {
-      std::fprintf(out, "[%12.3f ms] %-16s %-28s (instant)",
-                   static_cast<double>(e.ts_us) / 1000.0, track,
-                   e.name.c_str());
-    } else {
-      std::fprintf(out, "[%12.3f ms] %-16s %-28s value=%.3f",
-                   static_cast<double>(e.ts_us) / 1000.0, track,
-                   e.name.c_str(), e.value);
-    }
-    if (e.txn != 0) {
-      std::fprintf(out, " txn=%llu", static_cast<unsigned long long>(e.txn));
-    }
-    std::fprintf(out, "\n");
-  }
-  if (ordered.size() > n) {
-    std::fprintf(out, "... %zu more events\n", ordered.size() - n);
-  }
 }
 
 }  // namespace replidb::obs

@@ -2,20 +2,18 @@
 #define REPLIDB_OBS_TRACE_H_
 
 #include <cstdint>
-#include <cstdio>
-
-#include "common/locks.h"
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 namespace replidb::obs {
 
+struct ChainSummary;
+struct FlightEvent;
+
 /// \brief Per-transaction trace identity, carried on a TxnRequest from the
-/// client driver through the controller and down to replica apply. All
-/// spans recorded for one transaction share the id, so a trace viewer can
-/// follow a transaction across subsystems.
+/// client driver through the controller and down to replica apply. Every
+/// wait edge recorded for one transaction carries the id, so its client
+/// chain collects the whole path across subsystems.
 struct TraceContext {
   uint64_t id = 0;  ///< 0 = not traced.
 };
@@ -28,93 +26,25 @@ uint64_t NextTraceId();
 /// run-relative, or the second run's traces/sidecars differ trivially.
 void ResetTraceIds();
 
-/// \brief Collector of timestamped spans and instants over simulator
-/// virtual time, exportable as chrome://tracing / Perfetto JSON.
+/// \brief Renders a chrome://tracing / Perfetto JSON document from what
+/// the critical-path collector and the flight recorder already hold;
+/// nothing is recorded for the trace itself.
 ///
-/// All timestamps are *virtual* microseconds supplied by the caller (the
-/// discrete-event simulator's clock), so traces are deterministic: the
-/// same seed produces byte-identical trace files.
+///  - Each chain becomes one window span named "<kind>.<outcome>" plus
+///    one span per SegmentWaitEdges() segment, named after its wait
+///    state. The segments tile the window exactly. All of a chain's
+///    spans carry `args.txn` = the chain id. Client chains go on lane
+///    "client", apply chains on lane "replica.<sub>".
+///  - Each flight event becomes an instant named after its kind, on lane
+///    "node.<id>", with the event's detail in `args.detail`.
 ///
-/// Recording is off by default; the hot path pays a single branch on
-/// `enabled()`. Enable programmatically or by setting the REPLIDB_TRACE
-/// environment variable to an output path (see InitFromEnv).
-class Tracer {
- public:
-  Tracer() = default;
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  static Tracer& Global();
-
-  /// Reads REPLIDB_TRACE once: when set (non-empty), enables the global
-  /// tracer. Returns the configured output path, or nullptr when unset.
-  /// Benches call this at startup and WriteChromeTrace(path) at exit.
-  static const char* InitFromEnv();
-
-  bool enabled() const { return enabled_; }
-  void Enable() { enabled_ = true; }
-  void Disable() { enabled_ = false; }
-
-  /// Drops all recorded events (keeps enabled state and track names).
-  void Clear();
-
-  /// Records a completed span [start_us, end_us] on `track` (a virtual
-  /// thread lane, e.g. "replica.2" or "controller.100"). `txn` tags the
-  /// transaction (0 = none). No-op while disabled.
-  void Span(const std::string& track, const std::string& name,
-            int64_t start_us, int64_t end_us, uint64_t txn = 0);
-
-  /// Records a point-in-time event (suspicion raised, view change, ...).
-  void Instant(const std::string& track, const std::string& name,
-               int64_t ts_us, uint64_t txn = 0);
-
-  /// Records a counter-series sample rendered as a stacked area chart in
-  /// the trace viewer (queue depth, lag, backlog over time).
-  void CounterSample(const std::string& series, int64_t ts_us, double value);
-
-  size_t event_count() const;
-  /// Events discarded after the in-memory cap was reached.
-  uint64_t dropped() const { return dropped_; }
-
-  /// Serializes everything as a chrome://tracing "traceEvents" JSON
-  /// document (also loads in Perfetto).
-  std::string ChromeTraceJson() const;
-
-  /// Writes ChromeTraceJson() to `path`. Returns false on I/O failure.
-  bool WriteChromeTrace(const std::string& path) const;
-
-  /// Plain-text timeline of the first `limit` events in time order, for
-  /// quick terminal inspection without a trace viewer.
-  void DumpTimeline(std::FILE* out, size_t limit = 60) const;
-
- private:
-  struct Event {
-    char phase;       // 'X' span, 'i' instant, 'C' counter sample.
-    int32_t tid;      // Track id ('X'/'i') — index into track name table.
-    int64_t ts_us;
-    int64_t dur_us;   // 'X' only.
-    uint64_t txn;     // 0 = untagged.
-    double value;     // 'C' only.
-    std::string name;
-  };
-
-  /// In-memory cap: beyond this, events are counted as dropped instead of
-  /// stored, so a forgotten enabled tracer cannot eat the heap.
-  static constexpr size_t kMaxEvents = 4u << 20;
-
-  int32_t TrackIdLocked(const std::string& track);
-  bool PushLocked(Event e);
-
-  bool enabled_ = false;
-  mutable common::OrderedMutex mu_{common::LockRank::kTracer};
-  std::vector<Event> events_;
-  std::map<std::string, int32_t> track_ids_;
-  std::vector<std::string> track_names_;
-  uint64_t dropped_ = 0;
-};
-
-/// One-branch check used by instrumentation call sites.
-inline bool TracingEnabled() { return Tracer::Global().enabled(); }
+/// Lanes are announced as thread_name metadata in a fixed order (client,
+/// replica lanes, node lanes, each by number). Events are emitted in
+/// virtual-time order, ties in input order (flight events by seq), so
+/// timestamps never decrease within a lane. All timestamps are virtual
+/// microseconds, so the output is a pure function of its inputs.
+std::string RenderChromeTrace(const std::vector<ChainSummary>& chains,
+                              const std::vector<FlightEvent>& flight_events);
 
 }  // namespace replidb::obs
 

@@ -156,6 +156,10 @@ TEST_F(CollectorTest, OpenRecordCloseAttributesAndRetains) {
   EXPECT_EQ(c.stage_us[static_cast<int>(WaitState::kQueue)], 600);
   EXPECT_EQ(c.stage_us[static_cast<int>(WaitState::kOther)], 400);
   EXPECT_EQ(SumStages(c), c.TotalUs());
+  // Retained chains keep their edges: the rendered trace segments them.
+  ASSERT_EQ(c.edges.size(), 1u);
+  EXPECT_EQ(c.edges[0].start_us, 1000);
+  EXPECT_EQ(c.edges[0].end_us, 1600);
 
   std::string table = cp.RenderAttributionTable();
   EXPECT_NE(table.find("chain=client outcome=commit"), std::string::npos);
@@ -218,6 +222,8 @@ TEST_F(CollectorTest, SidecarJsonlHasHeaderChainsAndExemplarEdges) {
   EXPECT_NE(jsonl.find("\"kind\":\"client\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"queue\":600"), std::string::npos);
   EXPECT_NE(jsonl.find("\"edges\":[[\"queue\",0,600]]"), std::string::npos);
+  // Edges ride only on the exemplar line, not on the retained line.
+  EXPECT_EQ(jsonl.find("\"edges\""), jsonl.rfind("\"edges\""));
 }
 
 TEST_F(CollectorTest, RendersAreByteIdenticalAcrossIdenticalRuns) {

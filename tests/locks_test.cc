@@ -35,7 +35,7 @@ TEST(OrderedMutexTest, AscendingRankAcquisitionIsClean) {
 
 TEST(OrderedMutexTest, ReacquiringAfterReleaseIsClean) {
   LockCheckGuard guard;
-  OrderedMutex mu(LockRank::kTracer);
+  OrderedMutex mu(LockRank::kSlo);
   for (int i = 0; i < 3; ++i) {
     std::lock_guard<OrderedMutex> lock(mu);
     EXPECT_EQ(HeldLockCount(), 1);
@@ -61,8 +61,8 @@ TEST(OrderedMutexDeathTest, EqualRankAcquisitionAborts) {
   EXPECT_DEATH(
       {
         SetLockCheckEnabled(true);
-        OrderedMutex a(LockRank::kTracer);
-        OrderedMutex b(LockRank::kTracer);
+        OrderedMutex a(LockRank::kSlo);
+        OrderedMutex b(LockRank::kSlo);
         std::lock_guard<OrderedMutex> la(a);
         std::lock_guard<OrderedMutex> lb(b);  // Same rank: undeclared order.
       },

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -8,11 +9,16 @@
 
 #include "common/locks.h"
 #include "common/logging.h"
+#include "faults/fault_injector.h"
+#include "middleware/cluster.h"
+#include "obs/critical_path.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "workload/load_generator.h"
+#include "workload/workloads.h"
 
 namespace replidb::obs {
 namespace {
@@ -151,54 +157,166 @@ TEST(MetricsRegistryTest, GlobalIsASingleton) {
 }
 
 // ---------------------------------------------------------------------------
-// Tracer
+// Trace rendering (RenderChromeTrace over chains and flight events)
 // ---------------------------------------------------------------------------
 
-TEST(TracerTest, DisabledRecordsNothing) {
-  Tracer t;
-  EXPECT_FALSE(t.enabled());
-  t.Span("replica.1", "apply.exec", 100, 150, 7);
-  t.Instant("detector.1", "suspect.2", 200);
-  t.CounterSample("replica.1.lag", 300, 4.0);
-  EXPECT_EQ(t.event_count(), 0u);
+ChainSummary Chain(ChainKind kind, uint64_t id, uint64_t sub, int64_t open_us,
+                   int64_t close_us, std::vector<WaitEdge> edges,
+                   ChainOutcome outcome = ChainOutcome::kCommit) {
+  ChainSummary c;
+  c.kind = kind;
+  c.id = id;
+  c.sub = sub;
+  c.open_us = open_us;
+  c.close_us = close_us;
+  c.outcome = outcome;
+  c.edges = std::move(edges);
+  return c;
 }
 
-TEST(TracerTest, RecordsSpansInstantsAndCounters) {
-  Tracer t;
-  t.Enable();
-  t.Span("replica.1", "apply.exec", 100, 150, 7);
-  t.Instant("detector.1", "suspect.2", 200);
-  t.CounterSample("replica.1.lag", 300, 4.0);
-  EXPECT_EQ(t.event_count(), 3u);
-  EXPECT_EQ(t.dropped(), 0u);
+FlightEvent Flight(int64_t ts_us, int node, FlightEventKind kind,
+                   std::string detail, uint64_t seq) {
+  FlightEvent e;
+  e.ts_us = ts_us;
+  e.node = node;
+  e.kind = kind;
+  e.detail = std::move(detail);
+  e.seq = seq;
+  return e;
+}
+
+/// One event of a rendered trace, read back field by field.
+struct TraceEvent {
+  std::string name;
+  std::string ph;
+  long tid = -1;
+  long ts = -1;
+  long dur = -1;
+  long txn = -1;
+  std::string arg_name;  ///< Metadata events: the lane name.
+  std::string detail;    ///< Instants.
+};
+
+std::string StringField(const std::string& obj, const std::string& field) {
+  size_t p = obj.find("\"" + field + "\":\"");
+  if (p == std::string::npos) return "";
+  p += field.size() + 4;
+  return obj.substr(p, obj.find('"', p) - p);
+}
+
+long IntField(const std::string& obj, const std::string& field) {
+  size_t p = obj.find("\"" + field + "\":");
+  if (p == std::string::npos) return -1;
+  return std::strtol(obj.c_str() + p + field.size() + 3, nullptr, 10);
+}
+
+/// Splits the flat traceEvents array: every event object opens with
+/// {"name":" right after '[' or ','. Test inputs keep details free of
+/// that sequence.
+std::vector<TraceEvent> ParseTrace(const std::string& json) {
+  std::vector<size_t> starts;
+  const std::string open = "{\"name\":\"";
+  for (size_t p = json.find(open); p != std::string::npos;
+       p = json.find(open, p + 1)) {
+    if (json[p - 1] == '[' || json[p - 1] == ',') starts.push_back(p);
+  }
+  std::vector<TraceEvent> out;
+  for (size_t i = 0; i < starts.size(); ++i) {
+    size_t end = i + 1 < starts.size() ? starts[i + 1] : json.size();
+    std::string obj = json.substr(starts[i], end - starts[i]);
+    TraceEvent e;
+    e.name = StringField(obj, "name");
+    e.ph = StringField(obj, "ph");
+    e.tid = IntField(obj, "tid");
+    e.ts = IntField(obj, "ts");
+    e.dur = IntField(obj, "dur");
+    e.txn = IntField(obj, "txn");
+    if (e.ph == "M") {
+      size_t args = obj.find("\"args\":");
+      e.arg_name = StringField(obj.substr(args), "name");
+    }
+    e.detail = StringField(obj, "detail");
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+/// tid -> lane name, from the thread_name metadata.
+std::map<long, std::string> Lanes(const std::vector<TraceEvent>& events) {
+  std::map<long, std::string> lanes;
+  for (const TraceEvent& e : events) {
+    if (e.ph == "M") lanes[e.tid] = e.arg_name;
+  }
+  return lanes;
+}
+
+TEST(TracerTest, DisabledRecordsNothing) {
+  CriticalPathCollector cp;
+  EXPECT_FALSE(cp.enabled());
+  cp.OpenChain(ChainKind::kClient, 7, 0, 100);
+  cp.RecordWait(ChainKind::kClient, 7, 0, WaitState::kQueue, 100, 120);
+  cp.CloseChain(ChainKind::kClient, 7, 0, 150, ChainOutcome::kCommit);
+  EXPECT_EQ(RenderChromeTrace(cp.RetainedChains(), {}),
+            "{\"traceEvents\":[]}");
+}
+
+TEST(TracerTest, RendersSpansAndInstants) {
+  std::string json = RenderChromeTrace(
+      {Chain(ChainKind::kClient, 7, 0, 100, 150,
+             {{WaitState::kQueue, 100, 130}})},
+      {Flight(200, 3, FlightEventKind::kSuspicion, "replica=2", 0)});
+  std::vector<TraceEvent> events = ParseTrace(json);
+  int spans = 0, instants = 0;
+  for (const TraceEvent& e : events) {
+    spans += e.ph == "X";
+    instants += e.ph == "i";
+  }
+  EXPECT_EQ(spans, 3) << "window + queue + other segments";
+  EXPECT_EQ(instants, 1);
+  EXPECT_EQ(json.find("\"ph\":\"C\""), std::string::npos)
+      << "the rendering has no counter tracks";
 }
 
 TEST(TracerTest, ClearDropsEventsKeepsEnabled) {
-  Tracer t;
-  t.Enable();
-  t.Span("a", "s", 0, 1);
-  t.Clear();
-  EXPECT_EQ(t.event_count(), 0u);
-  EXPECT_TRUE(t.enabled());
+  CriticalPathCollector cp;
+  cp.Enable();
+  cp.OpenChain(ChainKind::kClient, 1, 0, 0);
+  cp.CloseChain(ChainKind::kClient, 1, 0, 10, ChainOutcome::kCommit);
+  ASSERT_NE(RenderChromeTrace(cp.RetainedChains(), {}).find("\"ph\":\"X\""),
+            std::string::npos);
+  cp.Reset();
+  EXPECT_EQ(RenderChromeTrace(cp.RetainedChains(), {}),
+            "{\"traceEvents\":[]}");
+  EXPECT_TRUE(cp.enabled());
 }
 
 TEST(TracerTest, ChromeTraceJsonStructure) {
-  Tracer t;
-  t.Enable();
-  t.Span("replica.1", "apply.exec", 100, 150, 7);
-  t.Instant("controller.9", "failover.2", 250);
-  t.CounterSample("gcs.backlog", 300, 12.5);
-  std::string json = t.ChromeTraceJson();
-  // Chrome trace envelope plus one event of each phase.
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  std::string json = RenderChromeTrace(
+      {Chain(ChainKind::kApply, 7, 2, 100, 150,
+             {{WaitState::kApplyBacklog, 100, 140}},
+             ChainOutcome::kApplied)},
+      {Flight(250, 9, FlightEventKind::kFailover, "promoted=2 \"x\"", 0)});
+  // Chrome trace envelope with one span and one instant phase.
+  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(json.find("\"dur\":50"), std::string::npos);
-  EXPECT_NE(json.find("apply.exec"), std::string::npos);
-  // Track names are emitted as thread_name metadata for the viewer.
-  EXPECT_NE(json.find("thread_name"), std::string::npos);
-  EXPECT_NE(json.find("replica.1"), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"apply.applied\""), std::string::npos);
+  EXPECT_NE(json.find("\"dur\":50,\"args\":{\"txn\":7}"), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"apply_backlog\""), std::string::npos);
+  EXPECT_NE(json.find("\"dur\":40,\"args\":{\"txn\":7}"), std::string::npos);
+  // Flight details are JSON-escaped.
+  EXPECT_NE(json.find("\"detail\":\"promoted=2 \\\"x\\\"\""),
+            std::string::npos);
+  // Lanes are announced as thread_name metadata, one per lane.
+  std::vector<TraceEvent> events = ParseTrace(json);
+  std::map<long, std::string> lanes = Lanes(events);
+  ASSERT_EQ(lanes.size(), 2u);
+  EXPECT_EQ(lanes.begin()->second, "replica.2");
+  EXPECT_EQ(lanes.rbegin()->second, "node.9");
+  for (const TraceEvent& e : events) {
+    if (e.ph == "M") continue;
+    EXPECT_EQ(lanes[e.tid], e.ph == "X" ? "replica.2" : "node.9") << e.name;
+  }
   // Crude structural sanity: balanced braces and brackets.
   int braces = 0, brackets = 0;
   for (char ch : json) {
@@ -212,65 +330,71 @@ TEST(TracerTest, ChromeTraceJsonStructure) {
 }
 
 TEST(TracerTest, NestedSpansShareATrackLane) {
-  // Chrome-trace "X" events nest by time containment within one tid: an
-  // outer mw.txn span and an inner apply.exec span on the same track must
-  // come out with the same tid and contained [ts, ts+dur] windows.
-  Tracer t;
-  t.Enable();
-  t.Span("replica.1", "mw.txn", 100, 200, 7);
-  t.Span("replica.1", "apply.exec", 120, 160, 7);
-  t.Span("controller.9", "mw.process", 90, 95, 7);
-  std::string json = t.ChromeTraceJson();
-  size_t outer = json.find("\"mw.txn\"");
-  size_t inner = json.find("\"apply.exec\"");
-  size_t other = json.find("\"mw.process\"");
-  ASSERT_NE(outer, std::string::npos);
-  ASSERT_NE(inner, std::string::npos);
-  ASSERT_NE(other, std::string::npos);
-  auto tid_of = [&json](size_t from) {
-    size_t p = json.find("\"tid\":", from);
-    return json.substr(p + 6, json.find_first_of(",}", p + 6) - p - 6);
-  };
-  EXPECT_EQ(tid_of(outer), tid_of(inner));
-  EXPECT_NE(tid_of(outer), tid_of(other));
+  // Chrome-trace "X" events nest by time containment within one tid: a
+  // chain's segment spans sit inside its window span on the same lane,
+  // and client and apply chains get different lanes.
+  std::string json = RenderChromeTrace(
+      {Chain(ChainKind::kClient, 7, 0, 100, 200,
+             {{WaitState::kService, 120, 160}}),
+       Chain(ChainKind::kApply, 3, 1, 90, 95, {})},
+      {});
+  std::vector<TraceEvent> events = ParseTrace(json);
+  std::map<long, std::string> lanes = Lanes(events);
+  const TraceEvent* window = nullptr;
+  const TraceEvent* service = nullptr;
+  const TraceEvent* apply = nullptr;
+  for (const TraceEvent& e : events) {
+    if (e.name == "client.commit") window = &e;
+    if (e.name == "service") service = &e;
+    if (e.name == "apply.commit") apply = &e;
+  }
+  ASSERT_NE(window, nullptr);
+  ASSERT_NE(service, nullptr);
+  ASSERT_NE(apply, nullptr);
+  EXPECT_EQ(window->tid, service->tid);
+  EXPECT_NE(window->tid, apply->tid);
+  EXPECT_EQ(lanes[window->tid], "client");
+  EXPECT_EQ(lanes[apply->tid], "replica.1");
   EXPECT_NE(json.find("\"ts\":100,\"dur\":100"), std::string::npos);
   EXPECT_NE(json.find("\"ts\":120,\"dur\":40"), std::string::npos);
 }
 
-TEST(TracerTest, WriteChromeTraceRoundTrips) {
-  Tracer t;
-  t.Enable();
-  t.Span("replica.1", "apply.exec", 100, 150, 7);
-  std::string path = ::testing::TempDir() + "obs_test_trace.json";
-  ASSERT_TRUE(t.WriteChromeTrace(path));
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string contents;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) contents.append(buf, n);
-  std::fclose(f);
-  std::remove(path.c_str());
-  EXPECT_EQ(contents, t.ChromeTraceJson());
-  EXPECT_EQ(contents.front(), '{');
-}
-
-TEST(TracerTest, WriteChromeTraceFailsOnBadPath) {
-  Tracer t;
-  t.Enable();
-  EXPECT_FALSE(t.WriteChromeTrace("/nonexistent-dir/trace.json"));
-}
-
-TEST(TracerTest, DumpTimelineDoesNotCrash) {
-  Tracer t;
-  t.Enable();
-  t.Span("replica.1", "apply.exec", 100, 150, 7);
-  t.Instant("detector.1", "suspect.2", 120);
-  std::FILE* sink = std::tmpfile();
-  ASSERT_NE(sink, nullptr);
-  t.DumpTimeline(sink, 10);
-  EXPECT_GT(std::ftell(sink), 0L);
-  std::fclose(sink);
+TEST(TracerTest, SegmentSpansTileEachChainWindow) {
+  // Overlapping, clipped and gapped edges: whatever SegmentWaitEdges
+  // makes of them, each chain's segment spans must cover its window
+  // contiguously and sum to close_us - open_us, all tagged with its id.
+  std::vector<ChainSummary> chains = {
+      Chain(ChainKind::kClient, 1, 0, 0, 1000,
+            {{WaitState::kQueue, 0, 300},
+             {WaitState::kNetTransit, 200, 500},
+             {WaitState::kService, 700, 1200}}),
+      Chain(ChainKind::kApply, 2, 4, 50, 400,
+            {{WaitState::kApplyBacklog, 0, 100},
+             {WaitState::kService, 300, 350}},
+            ChainOutcome::kApplied),
+      Chain(ChainKind::kClient, 3, 0, 500, 500, {}, ChainOutcome::kGaveUp),
+  };
+  std::vector<TraceEvent> events =
+      ParseTrace(RenderChromeTrace(chains, {}));
+  for (const ChainSummary& c : chains) {
+    int windows = 0;
+    long cursor = c.open_us, sum = 0;
+    for (const TraceEvent& e : events) {
+      if (e.ph != "X" || e.txn != static_cast<long>(c.id)) continue;
+      if (e.name.find('.') != std::string::npos) {
+        ++windows;
+        EXPECT_EQ(e.ts, c.open_us);
+        EXPECT_EQ(e.dur, c.TotalUs());
+        continue;
+      }
+      EXPECT_EQ(e.ts, cursor) << "chain " << c.id << " segment " << e.name;
+      cursor = e.ts + e.dur;
+      sum += e.dur;
+    }
+    EXPECT_EQ(windows, 1) << "chain " << c.id;
+    EXPECT_EQ(cursor, c.close_us) << "chain " << c.id;
+    EXPECT_EQ(sum, c.TotalUs()) << "chain " << c.id;
+  }
 }
 
 TEST(TracerTest, NextTraceIdIsUniqueAndNonZero) {
@@ -283,45 +407,112 @@ TEST(TracerTest, NextTraceIdIsUniqueAndNonZero) {
 }
 
 TEST(TracerTest, GlobalToggleDrivesTracingEnabled) {
-  EXPECT_FALSE(TracingEnabled());  // Off by default (REPLIDB_TRACE unset).
-  Tracer::Global().Enable();
-  EXPECT_TRUE(TracingEnabled());
-  Tracer::Global().Disable();
-  Tracer::Global().Clear();
-  EXPECT_FALSE(TracingEnabled());
+  // The trace draws what the global collector holds, so its toggle is
+  // the tracing switch: off by default, on records chains to render.
+  auto& cp = CriticalPathCollector::Global();
+  EXPECT_FALSE(CriticalPathEnabled());
+  cp.Enable();
+  EXPECT_TRUE(CriticalPathEnabled());
+  cp.OpenChain(ChainKind::kClient, 5, 0, 0);
+  cp.CloseChain(ChainKind::kClient, 5, 0, 10, ChainOutcome::kCommit);
+  EXPECT_NE(RenderChromeTrace(cp.RetainedChains(), {}).find("client.commit"),
+            std::string::npos);
+  cp.Disable();
+  cp.Reset();
+  EXPECT_FALSE(CriticalPathEnabled());
 }
 
 TEST(TracerTest, ChromeTraceTimestampsMonotonicPerThread) {
-  // Record events deliberately out of virtual-time order; the exported
-  // trace must come out sorted so viewers do not mis-nest spans.
-  Tracer t;
-  t.Enable();
-  t.Span("replica.1", "late", 900, 950, 1);
-  t.Span("replica.2", "other", 400, 450, 2);
-  t.Span("replica.1", "early", 100, 200, 1);
-  t.Instant("replica.1", "mid", 500);
-  std::string json = t.ChromeTraceJson();
-  // Walk the flat event list: span and instant events serialize as
-  // adjacent `"tid":N,"ts":M` fields. Collect (tid, ts) in emission
-  // order and require nondecreasing ts within each tid (thread_name
-  // metadata events carry a tid but no ts and are skipped).
-  std::map<std::string, std::vector<long>> per_tid;
-  size_t pos = 0;
-  while ((pos = json.find("\"tid\":", pos)) != std::string::npos) {
-    size_t num_start = pos + 6;
-    size_t num_end = json.find_first_of(",}", num_start);
-    std::string tid = json.substr(num_start, num_end - num_start);
-    pos = num_end;
-    if (json.compare(num_end, 6, ",\"ts\":") != 0) continue;
-    long ts = std::strtol(json.c_str() + num_end + 6, nullptr, 10);
-    per_tid[tid].push_back(ts);
+  // Chains and flight events arrive out of virtual-time order; the
+  // rendered trace must come out sorted so viewers do not mis-nest
+  // spans, and same-timestamp flight events keep their seq order.
+  std::string json = RenderChromeTrace(
+      {Chain(ChainKind::kClient, 1, 0, 900, 950, {}),
+       Chain(ChainKind::kApply, 2, 2, 400, 450, {}),
+       Chain(ChainKind::kClient, 3, 0, 100, 200,
+             {{WaitState::kQueue, 150, 200}})},
+      {Flight(500, 1, FlightEventKind::kFailover, "second", 8),
+       Flight(500, 1, FlightEventKind::kSuspicion, "first", 7),
+       Flight(50, 1, FlightEventKind::kViewChange, "start", 9)});
+  std::vector<TraceEvent> events = ParseTrace(json);
+  std::map<long, std::vector<long>> per_tid;
+  std::vector<std::string> flight_order;
+  for (const TraceEvent& e : events) {
+    if (e.ph == "M") continue;
+    per_tid[e.tid].push_back(e.ts);
+    if (e.ph == "i") flight_order.push_back(e.detail);
   }
-  ASSERT_GE(per_tid.size(), 2u);
+  ASSERT_EQ(per_tid.size(), 3u);
   for (const auto& [tid, series] : per_tid) {
     for (size_t i = 1; i < series.size(); ++i) {
       EXPECT_LE(series[i - 1], series[i]) << "tid " << tid << " idx " << i;
     }
   }
+  EXPECT_EQ(flight_order,
+            (std::vector<std::string>{"start", "first", "second"}));
+}
+
+TEST(TracerTest, MasterCrashTraceShowsSuspicionFailoverAndResync) {
+  // With the collector on, a master crash and rejoin under 1-safe
+  // master-slave must surface in the rendered trace as the controller's
+  // suspicion, failover and resync-complete instants, next to the
+  // client and apply chains.
+  auto& cp = CriticalPathCollector::Global();
+  cp.Reset();
+  cp.Enable();
+  FlightRecorder::Global().Reset();
+  ResetTraceIds();
+  {
+    middleware::ClusterOptions opts;
+    opts.replicas = 3;
+    opts.controller.mode = middleware::ReplicationMode::kMasterSlaveAsync;
+    opts.controller.heartbeat.period = 200 * sim::kMillisecond;
+    opts.controller.heartbeat.timeout = 150 * sim::kMillisecond;
+    opts.controller.heartbeat.miss_threshold = 2;
+    workload::MicroWorkload::Options wo;
+    wo.rows = 50;
+    wo.write_fraction = 0.5;
+    workload::MicroWorkload w(wo);
+    middleware::Cluster c(std::move(opts));
+    c.Setup(w.SetupStatements());
+    c.Start();
+    faults::FaultInjector injector(&c.sim);
+    injector.CrashAt(c.replica(0), c.sim.Now() + sim::kSecond,
+                     /*repair=*/sim::kSecond);
+    workload::ClosedLoopGenerator gen(&c.sim, c.driver(), &w, /*clients=*/4,
+                                      /*think=*/0, /*seed=*/7);
+    gen.Run(3 * sim::kSecond);
+    c.sim.RunFor(10 * sim::kSecond);
+    EXPECT_EQ(c.controller->stats().failovers, 1u);
+    EXPECT_GE(c.controller->stats().resyncs_completed, 1u);
+  }
+  std::vector<TraceEvent> events = ParseTrace(RenderChromeTrace(
+      cp.RetainedChains(), FlightRecorder::Global().MergedEvents()));
+  cp.Disable();
+  cp.Reset();
+  FlightRecorder::Global().Reset();
+  // The master is replica index 0, node id 1.
+  std::set<std::string> names;
+  bool suspected = false, detected = false, failover = false,
+       resynced = false;
+  for (const TraceEvent& e : events) {
+    names.insert(e.name);
+    if (e.ph != "i") continue;
+    if (e.name == "suspicion") {
+      suspected |= e.detail.rfind("replica=1 applied=", 0) == 0;
+      detected |= e.detail.find(" target=1 suspect") != std::string::npos;
+    }
+    failover |= e.name == "failover" && e.detail.find("was=1") !=
+                                            std::string::npos;
+    resynced |= e.name == "resync_phase" &&
+                e.detail.rfind("online: replica=1 ", 0) == 0;
+  }
+  EXPECT_TRUE(suspected) << "no controller suspicion instant";
+  EXPECT_TRUE(detected) << "no failure-detector suspicion instant";
+  EXPECT_TRUE(failover) << "no failover instant";
+  EXPECT_TRUE(resynced) << "no resync-complete instant";
+  EXPECT_TRUE(names.count("client.commit"));
+  EXPECT_TRUE(names.count("apply.applied"));
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@
 #include "faults/fault_injector.h"
 #include "middleware/cluster.h"
 #include "obs/critical_path.h"
+#include "obs/recorder.h"
 #include "obs/trace.h"
 #include "workload/load_generator.h"
 #include "workload/workloads.h"
@@ -106,13 +107,14 @@ std::string Fingerprint(const Cluster& c) {
 
 /// Observable artifacts of one run. The commit fingerprint and the
 /// critical-path profile are compared separately: the profiler's sidecar
-/// can run to megabytes, and feeding a mismatch that large through
-/// gtest's line-diff is pathological — FirstDiffLine reports the exact
-/// divergent line instead.
+/// and the rendered trace can run to megabytes, and feeding a mismatch
+/// that large through gtest's line-diff is pathological — FirstDiffLine
+/// reports the exact divergent line instead.
 struct ScenarioArtifacts {
   std::string fingerprint;
   std::string path_table;   ///< RenderAttributionTable().
   std::string path_sidecar; ///< RenderWaitEdgesJsonl().
+  std::string trace;        ///< RenderChromeTrace() of chains + flight events.
   bool converged = false;   ///< All replicas ended on identical digests.
   uint64_t overlapped = 0;  ///< Scheduler entries that ran concurrently.
 };
@@ -151,6 +153,7 @@ ScenarioArtifacts RunScenario(
   cp.Enable();
   cp.SetMode(middleware::ReplicationModeName(mode));
   obs::ResetTraceIds();  // Sidecar chain ids must be run-relative.
+  obs::FlightRecorder::Global().Reset();  // The trace's instants, too.
   MixedWorkload w;
   ClusterOptions opts;
   opts.replicas = 3;
@@ -170,6 +173,8 @@ ScenarioArtifacts RunScenario(
   art.fingerprint = Fingerprint(c);
   art.path_table = cp.RenderAttributionTable();
   art.path_sidecar = cp.RenderWaitEdgesJsonl();
+  art.trace = obs::RenderChromeTrace(
+      cp.RetainedChains(), obs::FlightRecorder::Global().MergedEvents());
   art.converged = c.Converged();
   for (const auto& r : c.replicas) {
     art.overlapped += r->apply_scheduler().overlapped();
@@ -246,6 +251,10 @@ TEST_P(SimDeterminismTest, CommitSequenceAndDigestsAreHashSeedInvariant) {
       << "attribution table changed with the hash seed";
   EXPECT_EQ(FirstDiffLine(a.path_sidecar, b.path_sidecar), "")
       << "wait-edge sidecar changed with the hash seed";
+  ASSERT_NE(a.trace.find("\"name\":\"client.commit\""), std::string::npos)
+      << "the rendered trace must draw the closed client chains";
+  EXPECT_EQ(FirstDiffLine(a.trace, b.trace), "")
+      << "rendered chrome trace changed with the hash seed";
 }
 
 // The conflict-graph scheduler adds per-entry timing state (worker pool,
@@ -280,6 +289,9 @@ TEST_P(SimDeterminismTest, ParallelApplyIsHashSeedInvariantAndStateSafe) {
       << "attribution table changed with the hash seed under parallel apply";
   EXPECT_EQ(FirstDiffLine(a.path_sidecar, b.path_sidecar), "")
       << "wait-edge sidecar changed with the hash seed under parallel apply";
+  EXPECT_EQ(FirstDiffLine(a.trace, b.trace), "")
+      << "rendered chrome trace changed with the hash seed under parallel "
+         "apply";
 }
 
 TEST_P(SimDeterminismTest, CrashRestartReplayIsHashSeedInvariant) {

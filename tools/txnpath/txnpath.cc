@@ -1,5 +1,6 @@
 // txnpath — offline critical-path analyzer for the wait-edge sidecar that
-// benches write under REPLIDB_WAIT_EDGES (see src/obs/critical_path.h).
+// benches write as wait_edges.jsonl under REPLIDB_OBS_DIR (see
+// src/obs/critical_path.h).
 //
 // The sidecar is JSONL: a header line, then one line per closed chain.
 // Retained lines carry the segmented per-stage attribution ("stages") and
@@ -9,12 +10,11 @@
 // never double counted.
 //
 // Usage:
-//   txnpath WAIT_EDGES.jsonl [--trace TRACE.json]
+//   txnpath WAIT_EDGES.jsonl
 //   txnpath --self-test
 //
-// With --trace, the chrome-trace JSON (REPLIDB_TRACE) is scanned for the
-// worst exemplar's spans (events tagged "args":{"txn":<id>}), tying the
-// attribution back to the span tree a human loads in Perfetto.
+// The worst exemplar's id is the "args.txn" tag of its spans in the
+// trace.json written next to the sidecar, for finding it in Perfetto.
 //
 // Exit codes: 0 = ok, 2 = usage/parse/IO error.
 
@@ -370,86 +370,6 @@ std::string RenderWorst(const SidecarChain& c) {
   return out;
 }
 
-// --- chrome-trace cross-reference -------------------------------------------
-
-/// Scans the chrome-trace JSON for complete ("ph":"X") events whose args
-/// tag them with the worst exemplar's txn id, and prints them as a span
-/// list. The trace format is machine-written by obs::Tracer (flat event
-/// objects, one nested "args"), so a balanced-brace scan is sufficient —
-/// no full JSON parser needed.
-struct TraceSpan {
-  std::string name;
-  std::string track;
-  int64_t ts = 0;
-  int64_t dur = 0;
-};
-
-std::optional<std::string> FindStringField(const std::string& obj,
-                                           const std::string& field) {
-  size_t p = obj.find("\"" + field + "\":\"");
-  if (p == std::string::npos) return std::nullopt;
-  p += field.size() + 4;
-  size_t e = obj.find('"', p);
-  if (e == std::string::npos) return std::nullopt;
-  return obj.substr(p, e - p);
-}
-
-std::optional<int64_t> FindIntField(const std::string& obj,
-                                    const std::string& field) {
-  size_t p = obj.find("\"" + field + "\":");
-  if (p == std::string::npos) return std::nullopt;
-  p += field.size() + 3;
-  size_t i = p;
-  auto v = ParseInt(obj, &i);
-  if (!v) return std::nullopt;
-  return *v;
-}
-
-std::vector<TraceSpan> SpansForTxn(const std::string& trace_json,
-                                   uint64_t txn) {
-  std::vector<TraceSpan> spans;
-  const std::string tag = "\"txn\":" + std::to_string(txn);
-  size_t i = 0;
-  while ((i = trace_json.find('{', i)) != std::string::npos) {
-    // Balanced scan of one event object (depth ≤ 2: event + args).
-    int depth = 0;
-    size_t j = i;
-    bool in_str = false;
-    for (; j < trace_json.size(); ++j) {
-      char ch = trace_json[j];
-      if (in_str) {
-        if (ch == '\\') ++j;
-        else if (ch == '"') in_str = false;
-        continue;
-      }
-      if (ch == '"') in_str = true;
-      else if (ch == '{') ++depth;
-      else if (ch == '}' && --depth == 0) break;
-    }
-    if (j >= trace_json.size()) break;
-    const std::string obj = trace_json.substr(i, j - i + 1);
-    i = j + 1;
-    if (obj.size() < 8 || obj.find(tag) == std::string::npos) continue;
-    // Only the txn's own spans; skip its instant markers.
-    auto ph = FindStringField(obj, "ph");
-    if (!ph || *ph != "X") continue;
-    TraceSpan s;
-    auto name = FindStringField(obj, "name");
-    if (!name) continue;
-    s.name = *name;
-    if (auto track = FindStringField(obj, "track")) s.track = *track;
-    if (auto ts = FindIntField(obj, "ts")) s.ts = *ts;
-    if (auto dur = FindIntField(obj, "dur")) s.dur = *dur;
-    spans.push_back(std::move(s));
-  }
-  std::sort(spans.begin(), spans.end(),
-            [](const TraceSpan& a, const TraceSpan& b) {
-              if (a.ts != b.ts) return a.ts < b.ts;
-              return a.name < b.name;
-            });
-  return spans;
-}
-
 // --- self test --------------------------------------------------------------
 
 int Fail(const char* what) {
@@ -502,21 +422,13 @@ int SelfTest() {
       path.find("queue") == std::string::npos) {
     return Fail("path");
   }
-  // Trace cross-reference: one matching complete span, one other txn.
-  const std::string trace =
-      "{\"traceEvents\":[{\"name\":\"txn\",\"ph\":\"X\",\"ts\":10,"
-      "\"dur\":2990,\"pid\":1,\"tid\":1,\"args\":{\"txn\":2}},"
-      "{\"name\":\"txn\",\"ph\":\"X\",\"ts\":5,\"dur\":100,\"pid\":1,"
-      "\"tid\":1,\"args\":{\"txn\":9}}]}";
-  std::vector<TraceSpan> spans = SpansForTxn(trace, 2);
-  if (spans.size() != 1 || spans[0].dur != 2990) return Fail("trace spans");
   std::printf("self-test OK\n");
   return 0;
 }
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: txnpath WAIT_EDGES.jsonl [--trace TRACE.json]\n"
+               "usage: txnpath WAIT_EDGES.jsonl\n"
                "       txnpath --self-test\n");
   return 2;
 }
@@ -525,13 +437,10 @@ int Usage() {
 
 int main(int argc, char** argv) {
   std::string sidecar_path;
-  std::string trace_path;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--self-test") return SelfTest();
-    if (arg == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (!arg.empty() && arg[0] == '-') {
+    if (!arg.empty() && arg[0] == '-') {
       return Usage();
     } else if (sidecar_path.empty()) {
       sidecar_path = arg;
@@ -565,23 +474,5 @@ int main(int argc, char** argv) {
     return 0;
   }
   std::printf("%s", RenderWorst(*worst).c_str());
-
-  if (!trace_path.empty()) {
-    std::ifstream tf(trace_path);
-    if (!tf) {
-      std::fprintf(stderr, "txnpath: cannot open %s\n", trace_path.c_str());
-      return 2;
-    }
-    std::stringstream body;
-    body << tf.rdbuf();
-    std::vector<TraceSpan> spans = SpansForTxn(body.str(), worst->id);
-    std::printf("\ntrace spans for txn %llu (%zu):\n",
-                static_cast<unsigned long long>(worst->id), spans.size());
-    for (const TraceSpan& s : spans) {
-      std::printf("  ts=%lldus dur=%lldus %-20s %s\n",
-                  static_cast<long long>(s.ts), static_cast<long long>(s.dur),
-                  s.track.c_str(), s.name.c_str());
-    }
-  }
   return 0;
 }
