@@ -29,7 +29,9 @@ struct ReplicaStatus {
   uint64_t binlog_total_bytes = 0;
   uint64_t binlog_records = 0;
   uint64_t binlog_checkpoint_version = 0;
-  double binlog_checkpoint_age_s = -1;  ///< -1 = no checkpoint yet.
+  /// -1 = no restart base: no checkpoint yet, or a non-durable log,
+  /// which never takes one (only a durable replica restarts from it).
+  double binlog_checkpoint_age_s = -1;
   uint64_t binlog_truncate_watermark = 0;
   uint64_t binlog_replay_position = 0;  ///< Persisted apply watermark.
   uint64_t recoveries = 0;  ///< Crash-restart recoveries from the log.

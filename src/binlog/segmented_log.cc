@@ -213,7 +213,6 @@ size_t SegmentedBinlog::TruncateThrough(middleware::GlobalVersion version) {
   size_t dropped = 0;
   while (segments_.size() > 1) {
     const SegmentInfo& front = segments_.front();
-    if (front.last_version == 0 || front.last_version > version) break;
     // Never drop the segment holding the latest checkpoint unless a later
     // segment has one: recovery must always find a base image.
     bool later_checkpoint = false;
@@ -224,6 +223,13 @@ size_t SegmentedBinlog::TruncateThrough(middleware::GlobalVersion version) {
       }
     }
     if (front.has_checkpoint && !later_checkpoint) break;
+    // A segment without entries spans no versions. It goes only when it
+    // holds a superseded checkpoint (an image of at least a segment fills
+    // one of its own); an empty one ends the walk.
+    if (front.last_version == 0 ? !front.has_checkpoint
+                                : front.last_version > version) {
+      break;
+    }
     dropped += front.records;
     (void)store_->Delete(front.segment);
     segments_.erase(segments_.begin());

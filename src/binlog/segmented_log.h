@@ -159,9 +159,11 @@ class SegmentedBinlog {
   /// a crash, before reading.
   Result<RecoveryInfo> Recover();
 
-  /// Deletes sealed segments whose entire version span is <= `version`
-  /// (segment-granular GC: a segment straddling the watermark survives).
-  /// Returns the number of records dropped.
+  /// Deletes sealed segments from the front while their entire version
+  /// span is <= `version` (segment-granular GC: a segment straddling the
+  /// watermark survives). The latest checkpoint's segment always stays; a
+  /// segment holding only a superseded checkpoint spans no versions and
+  /// goes. Returns the number of records dropped.
   size_t TruncateThrough(middleware::GlobalVersion version);
 
   /// Persists the caller's apply watermark in the store's meta area.

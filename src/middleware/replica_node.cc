@@ -253,8 +253,8 @@ void ReplicaNode::Crash() {
         std::make_unique<binlog::SegmentedBinlog>(log_store_.get(), log_opts);
     ResetShipCursor();
     writeset_table_ = binlog::WritesetTable();
-    entries_since_checkpoint_ = 0;
-    prev_checkpoint_version_ = 0;
+    entries_since_boundary_ = 0;
+    prev_boundary_version_ = 0;
   } else if (options_.binlog.durable) {
     // Process death with the disk intact: the engine models volatile
     // state (buffer pool, uncheckpointed heap) and is wiped; unsynced
@@ -753,7 +753,7 @@ void ReplicaNode::DrainOrderedBuffer() {
     // The engine now holds exactly the effects of versions <= v: fire any
     // audit barrier this version satisfies before draining further.
     if (!pending_audits_.empty()) CheckAuditBarriers();
-    MaybeCheckpoint();
+    MaybeCloseBoundary();
 
     // --- Timing model ---
     sim::TimePoint now = sim_->Now();
@@ -902,7 +902,7 @@ void ReplicaNode::ShipCommitted(GlobalVersion sync_version) {
           be.commit_time_micros > 0 ? be.commit_time_micros : sim_->Now();
       DurableAppend(entry);
     }
-    MaybeCheckpoint();
+    MaybeCloseBoundary();
   } else {
     binlog_shipped_index_ = binlog.size();
   }
@@ -955,40 +955,49 @@ void ReplicaNode::DurableAppend(const ReplicationEntry& entry) {
   if (entry.version <= durable_log_->head_version()) return;  // Duplicate.
   if (!durable_log_->Append(entry).ok()) return;  // Injected disk fault.
   writeset_table_.Add(entry.version, entry.writeset);
-  ++entries_since_checkpoint_;
+  ++entries_since_boundary_;
 }
 
-void ReplicaNode::MaybeCheckpoint() {
+void ReplicaNode::MaybeCloseBoundary() {
   if (options_.binlog.checkpoint_every == 0) return;
-  if (entries_since_checkpoint_ < options_.binlog.checkpoint_every) return;
-  TakeCheckpoint();
+  if (entries_since_boundary_ < options_.binlog.checkpoint_every) return;
+  CloseBoundary();
 }
 
-void ReplicaNode::TakeCheckpoint() {
-  binlog::CheckpointRecord cp;
-  cp.version = std::max(engine_applied_, engine_->last_commit_seq());
-  cp.taken_at_us = sim_->Now();
-  cp.digests = engine_->TableDigests();
-  engine::BackupOptions bo;
-  bo.include_metadata = true;
-  bo.include_sequences = true;
-  Result<engine::BackupImage> image = engine_->Backup(bo);
-  if (!image.ok()) return;  // Disk full et al: retry at the next boundary.
-  cp.image = image.TakeValue();
-  if (!durable_log_->AppendCheckpoint(cp).ok()) return;
-  entries_since_checkpoint_ = 0;
-  writeset_table_.Rotate(cp.version);
-  // GC sealed segments behind the slowest consumer: recovery needs
-  // nothing before the previous checkpoint, and a shipping master must
-  // also hold everything its subscribers have not received yet.
-  GlobalVersion keep = std::min(cp.version, prev_checkpoint_version_);
+void ReplicaNode::CloseBoundary() {
+  GlobalVersion version = std::max(engine_applied_, engine_->last_commit_seq());
+  // Only a durable replica's Restart() reads a checkpoint back. Any other
+  // replica rejoins through the controller's resync or clone, so an image
+  // of its table would be work nothing ever opens.
+  if (options_.binlog.durable) {
+    binlog::CheckpointRecord cp;
+    cp.version = version;
+    cp.taken_at_us = sim_->Now();
+    cp.digests = engine_->TableDigests();
+    engine::BackupOptions bo;
+    bo.include_metadata = true;
+    bo.include_sequences = true;
+    Result<engine::BackupImage> image = engine_->Backup(bo);
+    if (!image.ok()) return;  // Disk full et al: retry at the next boundary.
+    cp.image = image.TakeValue();
+    if (!durable_log_->AppendCheckpoint(cp).ok()) return;
+  }
+  entries_since_boundary_ = 0;
+  writeset_table_.Rotate(version);
+  // GC sealed segments behind the slowest consumer. Nothing above the
+  // previous boundary goes: recovery needs every entry after the previous
+  // checkpoint, and a 2-safe commit may re-read its entry from the log. A
+  // shipping master also holds everything its subscribers have not
+  // received yet.
+  GlobalVersion keep = std::min(version, prev_boundary_version_);
   if (!subscribers_.empty()) keep = std::min(keep, last_shipped_);
   size_t dropped = durable_log_->TruncateThrough(keep);
-  prev_checkpoint_version_ = cp.version;
+  prev_boundary_version_ = version;
   binlog::BinlogStats stats = durable_log_->Stats();
   obs::FlightRecorder::Global().Record(
       sim_->Now(), id(), obs::FlightEventKind::kBinlog,
-      "checkpoint v=" + std::to_string(cp.version) +
+      std::string(options_.binlog.durable ? "checkpoint" : "gc") +
+          " v=" + std::to_string(version) +
           " segments=" + std::to_string(stats.segments) +
           " gc_records=" + std::to_string(dropped));
 }
@@ -1227,9 +1236,10 @@ void ReplicaNode::HandleRestore(const net::Message& m) {
                           ordered_finish_.upper_bound(msg.as_of_version));
     apply_sched_.Reset(sim_->Now());
     sched_keys_gauge_->Set(0);
-    // Re-baseline the durable log at the restored image: everything
-    // before it is unreachable state from a previous life.
-    TakeCheckpoint();
+    // A log boundary at the restored image: a durable log re-baselines
+    // on a checkpoint of it, since everything before it is unreachable
+    // state from a previous life.
+    CloseBoundary();
     ResetShipCursor();
     durable_log_->PersistWatermark(msg.as_of_version);
     if (!pending_audits_.empty()) CheckAuditBarriers();
@@ -1255,10 +1265,10 @@ void ReplicaNode::MarkSetupComplete() {
   engine_applied_ = v;
   last_shipped_ = v;
   binlog_shipped_index_ = engine_->binlog().size();
-  // Seed data never flows through the shipping cursor, so the durable
+  // Seed data never flows through the shipping cursor, so a durable
   // log's baseline is this checkpoint: recovery restores it and replays
   // only post-setup entries.
-  TakeCheckpoint();
+  CloseBoundary();
   ResetShipCursor();
 }
 

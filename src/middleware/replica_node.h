@@ -63,11 +63,16 @@ struct ReplicaOptions {
   /// backs the master's shipping cursor and the binlog-health console —
   /// but only `durable = true` makes it the recovery source: the engine
   /// then models volatile state, a crash wipes it, and Restart() rebuilds
-  /// from the latest checkpoint + log tail instead of a full resync.
+  /// from the latest checkpoint + log tail instead of a full resync. Only
+  /// a durable log carries checkpoints (a table image at setup, after a
+  /// restore and at every boundary); any other log holds entries alone.
   struct BinlogConfig {
     bool durable = false;
     int64_t segment_max_bytes = 256 * 1024;
-    /// Entry records between checkpoints (0 = only the setup checkpoint).
+    /// Entry records between log boundaries. At each one a durable log
+    /// takes a checkpoint, and every log drops the segments behind the
+    /// previous boundary. 0 = no boundary after setup: a durable log
+    /// keeps only its setup checkpoint, and no log is ever truncated.
     uint64_t checkpoint_every = 512;
     /// fsync per record vs per rollover/checkpoint (wider torn-tail
     /// window after a crash when false).
@@ -244,12 +249,13 @@ class ReplicaNode {
   /// of its engine apply) and folds it into the writeset table. Duplicate
   /// versions are ignored.
   void DurableAppend(const ReplicationEntry& entry);
-  /// Takes a checkpoint when checkpoint_every entries accumulated.
-  void MaybeCheckpoint();
-  /// Captures engine digests + image into a checkpoint record, rotates
-  /// the writeset table, and GCs sealed segments behind the slowest
-  /// consumer (previous checkpoint, and the ship watermark for masters).
-  void TakeCheckpoint();
+  /// Closes a log boundary when checkpoint_every entries accumulated.
+  void MaybeCloseBoundary();
+  /// Log boundary: a durable replica captures engine digests + image into
+  /// a checkpoint record; every replica rotates the writeset table and
+  /// GCs sealed segments behind the slowest consumer (previous boundary,
+  /// and the ship watermark for masters).
+  void CloseBoundary();
   /// Durable-mode restart path: CRC-scan the log, restore the latest
   /// checkpoint image, verify its digests, replay the tail, and charge
   /// the modeled recovery time against this node's workers.
@@ -302,8 +308,8 @@ class ReplicaNode {
   std::unique_ptr<binlog::LogStore> log_store_;
   std::unique_ptr<binlog::SegmentedBinlog> durable_log_;
   binlog::WritesetTable writeset_table_;
-  uint64_t entries_since_checkpoint_ = 0;
-  GlobalVersion prev_checkpoint_version_ = 0;
+  uint64_t entries_since_boundary_ = 0;
+  GlobalVersion prev_boundary_version_ = 0;
   uint64_t recoveries_ = 0;
   sim::Duration last_recovery_duration_ = 0;
   uint64_t last_recovery_replayed_ = 0;

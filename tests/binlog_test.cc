@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,8 @@
 #include "faults/fault_injector.h"
 #include "middleware/cluster.h"
 #include "obs/recorder.h"
+#include "workload/load_generator.h"
+#include "workload/workloads.h"
 
 namespace replidb::binlog {
 namespace {
@@ -704,6 +707,65 @@ TEST(SegmentedBinlogTest, TruncationNeverDropsTheLatestCheckpointSegment) {
   EXPECT_NE(log.segments().front().segment, cp_segment);
 }
 
+// A checkpoint bigger than a segment, as a whole-table image is, fills a
+// segment of its own, and that segment spans no versions. Once a newer
+// checkpoint supersedes it, truncation must release it: left in place it
+// pins every later segment, and the log grows by a boundary's worth per
+// checkpoint (a durable replica's segment 0 holds its setup checkpoint).
+TEST(SegmentedBinlogTest, SupersededCheckpointOnlySegmentsAreReleased) {
+  MemLogStore store;
+  const size_t frame = FrameBytes(Entry(1));
+  SegmentedLogOptions opts;
+  opts.segment_max_bytes = static_cast<int64_t>(4 * frame);
+  SegmentedBinlog log(&store, opts);
+  auto checkpoint = [&](GlobalVersion v) {
+    CheckpointRecord cp;
+    cp.version = v;
+    cp.digests = {{std::string(8 * frame, 't'), v}};
+    return cp;
+  };
+  GlobalVersion v = 10;
+  ASSERT_TRUE(log.AppendCheckpoint(checkpoint(v)).ok());
+  ASSERT_EQ(log.segments().size(), 1u);
+  ASSERT_EQ(log.segments().front().last_version, 0u)
+      << "layout: the setup checkpoint is alone in segment 0";
+  // Each boundary: two full segments of entries, then a checkpoint alone
+  // in a third, then a truncation with the replica's slack of one boundary.
+  constexpr int kCheckpoints = 12;
+  GlobalVersion prev = v, before_prev = v;
+  std::vector<BinlogStats> after;
+  for (int i = 0; i < kCheckpoints; ++i) {
+    for (int k = 0; k < 8; ++k) ASSERT_TRUE(log.Append(Entry(++v)).ok());
+    ASSERT_TRUE(log.AppendCheckpoint(checkpoint(v)).ok());
+    log.TruncateThrough(prev);
+    before_prev = prev;
+    prev = v;
+    after.push_back(log.Stats());
+  }
+  // Steady state from the first boundary on: one boundary's entries in
+  // two segments, and its checkpoint in a third.
+  std::string cp_frame;
+  PutRecord(RecordType::kCheckpoint, EncodeCheckpointPayload(checkpoint(v)),
+            &cp_frame);
+  const uint64_t bound = 8 * FrameBytes(Entry(v)) + cp_frame.size();
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_LE(after[i].segments, 3u) << "after checkpoint " << i;
+    EXPECT_LE(after[i].total_bytes, bound) << "after checkpoint " << i;
+  }
+  // Recovery still finds the latest checkpoint and every entry after the
+  // previous one.
+  SegmentedBinlog reopened(&store, opts);
+  Result<RecoveryInfo> info = reopened.Recover();
+  ASSERT_TRUE(info.ok());
+  ASSERT_TRUE(info.value().have_checkpoint);
+  EXPECT_EQ(info.value().checkpoint.version, v);
+  LogCursor cur = reopened.Cursor(before_prev);
+  ReplicationEntry e;
+  GlobalVersion expect = before_prev;
+  while (cur.Next(&e)) EXPECT_EQ(e.version, ++expect);
+  EXPECT_EQ(expect, v);
+}
+
 TEST(SegmentedBinlogTest, WatermarkAndCheckpointSurviveRecovery) {
   MemLogStore store;
   SegmentedBinlog log(&store, SegmentedLogOptions{});
@@ -847,8 +909,42 @@ std::vector<std::string> AccountsSetup(int rows = 50) {
   return out;
 }
 
+/// Details of the kBinlog flight events `node` recorded that start with
+/// `prefix` ("checkpoint v=", "gc v=", "recover "), oldest first.
+std::vector<std::string> BinlogEvents(net::NodeId node,
+                                      const std::string& prefix) {
+  std::vector<std::string> out;
+  for (const obs::FlightEvent& e :
+       obs::FlightRecorder::Global().NodeEvents(node)) {
+    if (e.kind == obs::FlightEventKind::kBinlog &&
+        e.detail.compare(0, prefix.size(), prefix) == 0) {
+      out.push_back(e.detail);
+    }
+  }
+  return out;
+}
+
+/// The version a boundary event names ("checkpoint v=12 ..." -> 12).
+GlobalVersion EventVersion(const std::string& detail) {
+  size_t at = detail.find("v=");
+  return at == std::string::npos ? 0 : std::stoull(detail.substr(at + 2));
+}
+
 class BinlogAllModesTest
     : public ::testing::TestWithParam<middleware::ReplicationMode> {};
+
+std::string ModeName(middleware::ReplicationMode mode) {
+  switch (mode) {
+    case middleware::ReplicationMode::kMasterSlaveAsync:
+      return "MsAsync";
+    case middleware::ReplicationMode::kMasterSlaveSync:
+      return "MsSync";
+    case middleware::ReplicationMode::kMultiMasterStatement:
+      return "MmStmt";
+    default:
+      return "MmCert";
+  }
+}
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, BinlogAllModesTest,
@@ -857,19 +953,11 @@ INSTANTIATE_TEST_SUITE_P(
                       middleware::ReplicationMode::kMultiMasterStatement,
                       middleware::ReplicationMode::kMultiMasterCertification),
     [](const ::testing::TestParamInfo<middleware::ReplicationMode>& info) {
-      switch (info.param) {
-        case middleware::ReplicationMode::kMasterSlaveAsync:
-          return std::string("MsAsync");
-        case middleware::ReplicationMode::kMasterSlaveSync:
-          return std::string("MsSync");
-        case middleware::ReplicationMode::kMultiMasterStatement:
-          return std::string("MmStmt");
-        default:
-          return std::string("MmCert");
-      }
+      return ModeName(info.param);
     });
 
 TEST_P(BinlogAllModesTest, KillMidApplyRestartReplaysAndConverges) {
+  obs::FlightRecorder::Global().Reset();
   middleware::ClusterOptions opts;
   opts.replicas = 3;
   opts.controller.mode = GetParam();
@@ -915,6 +1003,97 @@ TEST_P(BinlogAllModesTest, KillMidApplyRestartReplaysAndConverges) {
   binlog::BinlogStats bl = c.replica(2)->DurableLogStats();
   EXPECT_GT(bl.records, 0u);
   EXPECT_GE(bl.checkpoint_version, 1u) << "setup seeds the first checkpoint";
+
+  // A durable log checkpoints at every boundary: setup plus at least
+  // three more, and never a bare GC.
+  for (int r = 0; r < 3; ++r) {
+    const net::NodeId node = c.replica(r)->id();
+    std::vector<std::string> checkpoints = BinlogEvents(node, "checkpoint v=");
+    EXPECT_GE(checkpoints.size(), 4u) << "replica " << r;
+    EXPECT_TRUE(BinlogEvents(node, "gc v=").empty()) << "replica " << r;
+    if (!checkpoints.empty()) {
+      EXPECT_EQ(c.replica(r)->DurableLogStats().checkpoint_version,
+                EventVersion(checkpoints.back()))
+          << "replica " << r << ": the latest boundary is the restart base";
+    }
+  }
+  // The restart began from a boundary's checkpoint, not the setup one.
+  std::vector<std::string> setup = BinlogEvents(c.replica(2)->id(),
+                                                "checkpoint v=");
+  std::vector<std::string> recovered =
+      BinlogEvents(c.replica(2)->id(), "recover checkpoint=");
+  ASSERT_FALSE(setup.empty());
+  ASSERT_EQ(recovered.size(), 1u);
+  EXPECT_GT(std::stoull(recovered[0].substr(recovered[0].find('=') + 1)),
+            EventVersion(setup.front()));
+}
+
+// Without `durable`, nothing reads a checkpoint back (only a durable
+// replica's Restart() rebuilds from its log), so a boundary writes none.
+// It still truncates the log behind the previous boundary, so the log
+// stays a few segments long.
+TEST_P(BinlogAllModesTest, NonDurableBoundariesTruncateWithoutCheckpoints) {
+  obs::FlightRecorder::Global().Reset();
+  middleware::ClusterOptions opts;
+  opts.replicas = 3;
+  opts.controller.mode = GetParam();
+  opts.replica.binlog.checkpoint_every = 16;
+  opts.replica.binlog.segment_max_bytes = 1024;
+  middleware::Cluster c(std::move(opts));
+  c.Setup(AccountsSetup());
+  c.Start();
+  c.sim.RunFor(kSecond);
+
+  int committed = 0;
+  uint64_t max_segments = 0, max_records = 0;
+  for (int i = 0; i < 200; ++i) {
+    c.driver(0)->Submit(
+        Write("UPDATE accounts SET balance = balance + 1 WHERE id = " +
+              std::to_string(i % 50)),
+        [&](const middleware::TxnResult& r) {
+          if (r.status.ok()) ++committed;
+        });
+    c.sim.RunFor(50 * kMillisecond);
+    for (int r = 0; r < 3; ++r) {
+      binlog::BinlogStats bl = c.replica(r)->DurableLogStats();
+      max_segments = std::max(max_segments, bl.segments);
+      max_records = std::max(max_records, bl.records);
+    }
+  }
+  c.sim.RunFor(2 * kSecond);
+  EXPECT_EQ(committed, 200);
+  EXPECT_TRUE(c.Converged());
+
+  for (int r = 0; r < 3; ++r) {
+    binlog::BinlogStats bl = c.replica(r)->DurableLogStats();
+    EXPECT_EQ(bl.checkpoint_version, 0u) << "replica " << r;
+    EXPECT_EQ(bl.checkpoint_at_us, -1) << "replica " << r;
+    for (const SegmentInfo& s : c.replica(r)->durable_log()->segments()) {
+      EXPECT_FALSE(s.has_checkpoint)
+          << "replica " << r << " segment " << s.segment;
+    }
+    EXPECT_GE(bl.last_version, 200u);
+    EXPECT_GT(bl.truncate_watermark, 0u) << "replica " << r;
+    const net::NodeId node = c.replica(r)->id();
+    EXPECT_GE(BinlogEvents(node, "gc v=").size(), 4u)
+        << "replica " << r << ": setup plus at least three boundaries";
+    EXPECT_TRUE(BinlogEvents(node, "checkpoint v=").empty())
+        << "replica " << r;
+  }
+  // At most two boundaries of entries (the slack) plus the segment
+  // straddling the older one: far below the 200 written, which take 12 or
+  // more segments untruncated.
+  EXPECT_LE(max_records, 4 * 16u);
+  EXPECT_LE(max_segments, 6u);
+  // SHOW REPLICA STATUS: no restart base on any replica.
+  std::string status = c.ShowReplicaStatus();
+  size_t no_base = 0;
+  for (size_t at = status.find("checkpoint_v=0 checkpoint_age_s=-1 ");
+       at != std::string::npos;
+       at = status.find("checkpoint_v=0 checkpoint_age_s=-1 ", at + 1)) {
+    ++no_base;
+  }
+  EXPECT_EQ(no_base, 3u) << status;
 }
 
 // Kill-mid-apply under dependency-aware parallel apply: 4 workers with
@@ -974,6 +1153,61 @@ TEST_P(BinlogAllModesTest, KillMidParallelApplyRestartConverges) {
             c.replica(0)->engine()->ContentHash());
 }
 
+// A boundary truncates nothing above the previous boundary. The slack
+// matters without any checkpoint: a 2-safe commit whose entry already
+// left with the periodic shipper re-reads it from the master's log to
+// request the receipt acks. Cut right up to the current version, the log
+// can lose that entry, and the acks never come: the client is told the
+// write failed although it committed. Every replica must hold exactly
+// one increment per acked write.
+TEST(BinlogClusterTest, NonDurableSyncClusterAppliesEveryAckedWriteOnce) {
+  workload::MicroWorkload::Options wo;
+  wo.rows = 150;
+  wo.write_fraction = 0.4;
+  wo.hot_fraction = 0.3;
+  wo.hot_rows = 5;
+  workload::MicroWorkload w(wo);
+  middleware::ClusterOptions opts;
+  opts.replicas = 3;
+  opts.drivers = 4;
+  opts.controller.mode = middleware::ReplicationMode::kMasterSlaveSync;
+  opts.driver.max_retries = 6;
+  opts.replica.binlog.checkpoint_every = 16;
+  opts.replica.binlog.segment_max_bytes = 1024;
+  middleware::Cluster c(std::move(opts));
+  c.Setup(w.SetupStatements());
+  c.Start();
+
+  std::vector<std::unique_ptr<workload::ClosedLoopGenerator>> gens;
+  sim::TimePoint stop = c.sim.Now() + 8 * kSecond;
+  for (int d = 0; d < 4; ++d) {
+    gens.push_back(std::make_unique<workload::ClosedLoopGenerator>(
+        &c.sim, c.driver(d), &w, /*clients=*/4, 0,
+        static_cast<uint64_t>(100 + d)));
+    gens.back()->Arm(stop);
+  }
+  c.sim.RunUntil(stop);
+  c.sim.RunFor(10 * kSecond);
+
+  uint64_t committed_writes = 0;
+  for (auto& g : gens) committed_writes += g->stats().write_latency_ms.count();
+  ASSERT_GT(committed_writes, 100u);
+  EXPECT_GT(c.replica(0)->DurableLogStats().truncate_watermark, 0u)
+      << "the master's log must have been truncated";
+  EXPECT_TRUE(c.Converged());
+  EXPECT_EQ(c.TotalApplyErrors(), 0u);
+  const int64_t expected = 150 * 1000 + static_cast<int64_t>(committed_writes);
+  for (int i = 0; i < 3; ++i) {
+    engine::Rdbms* db = c.replica(i)->engine();
+    engine::SessionId s = db->Connect().value();
+    engine::ExecResult r = db->Execute(s, "SELECT SUM(balance) FROM accounts");
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.rows[0][0].AsInt(), expected)
+        << "replica " << i << " lost or duplicated an acked increment";
+    db->Disconnect(s);
+  }
+}
+
 TEST(BinlogDeathTest, ReplayDigestMismatchDumpsBinlogFlightState) {
   // A forged checkpoint whose digests disagree with its image must kill
   // the replica at recovery time (never serve from unverified state), and
@@ -1005,6 +1239,89 @@ TEST(BinlogDeathTest, ReplayDigestMismatchDumpsBinlogFlightState) {
       },
       "restored engine digests do not match checkpoint.*flight recorder.*"
       "binlog");
+}
+
+// ---------------------------------------------------------------------------
+// Soak: every replica's log levels off under steady load
+// ---------------------------------------------------------------------------
+
+using SoakParam = std::tuple<middleware::ReplicationMode, bool /*durable*/>;
+
+class ReplicaLogSoakTest : public ::testing::TestWithParam<SoakParam> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndDurability, ReplicaLogSoakTest,
+    ::testing::Combine(
+        ::testing::Values(
+            middleware::ReplicationMode::kMasterSlaveAsync,
+            middleware::ReplicationMode::kMasterSlaveSync,
+            middleware::ReplicationMode::kMultiMasterStatement,
+            middleware::ReplicationMode::kMultiMasterCertification),
+        ::testing::Bool()),
+    [](const ::testing::TestParamInfo<SoakParam>& info) {
+      return ModeName(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_Durable" : "_Volatile");
+    });
+
+// An update-only load over a fixed row count: the data does not grow, so
+// no replica's log may either. Each log is sampled every 10 ms through
+// more than thirty boundaries, and its peak over the last third of the
+// samples may not exceed its peak over the middle third by more than one
+// segment: truncation is segment-granular, so where the segment edges
+// fall moves a level log's peak by up to that much. A log that keeps a
+// boundary it should have dropped grows by several segments per third.
+// The segments are smaller than the table image, as the default segment
+// is against a real table, so a checkpoint fills segments of its own.
+TEST_P(ReplicaLogSoakTest, SegmentsAndBytesLevelOff) {
+  auto [mode, durable] = GetParam();
+  constexpr int64_t kSegmentBytes = 4 * 1024;
+  constexpr uint64_t kMaxEntryFrame = 256;  // One row's update: ~115 bytes.
+  workload::MicroWorkload::Options wo;
+  wo.rows = 2000;
+  wo.write_fraction = 1.0;
+  workload::MicroWorkload w(wo);
+  middleware::ClusterOptions opts;
+  opts.replicas = 3;
+  opts.controller.mode = mode;
+  opts.replica.binlog.durable = durable;
+  opts.replica.binlog.checkpoint_every = 64;
+  opts.replica.binlog.segment_max_bytes = kSegmentBytes;
+  middleware::Cluster c(std::move(opts));
+  c.Setup(w.SetupStatements());
+  c.Start();
+
+  workload::OpenLoopGenerator gen(&c.sim, c.driver(0), &w, /*rate_tps=*/400,
+                                  /*seed=*/7);
+  gen.Arm(c.sim.Now() + 6 * kSecond);
+  const GlobalVersion start = c.replica(0)->DurableLogStats().last_version;
+  std::vector<std::vector<BinlogStats>> samples(c.replicas.size());
+  for (int i = 0; i < 600; ++i) {
+    c.sim.RunFor(10 * kMillisecond);
+    for (size_t r = 0; r < c.replicas.size(); ++r) {
+      samples[r].push_back(c.replicas[r]->DurableLogStats());
+    }
+  }
+  c.sim.RunFor(2 * kSecond);  // Drain before the convergence check.
+  for (size_t r = 0; r < samples.size(); ++r) {
+    const std::vector<BinlogStats>& s = samples[r];
+    ASSERT_GE(s.back().last_version, start + 30 * 64)
+        << "replica " << r << " must pass thirty boundaries";
+    const size_t third = s.size() / 3;
+    auto peak = [&](size_t from, size_t to, auto field) {
+      uint64_t m = 0;
+      for (size_t i = from; i < to; ++i) m = std::max<uint64_t>(m, field(s[i]));
+      return m;
+    };
+    auto segments = [](const BinlogStats& b) { return b.segments; };
+    auto bytes = [](const BinlogStats& b) { return b.total_bytes; };
+    EXPECT_LE(peak(2 * third, s.size(), segments),
+              peak(third, 2 * third, segments) + 1)
+        << "replica " << r << ": segments still growing";
+    EXPECT_LE(peak(2 * third, s.size(), bytes),
+              peak(third, 2 * third, bytes) + kSegmentBytes + kMaxEntryFrame)
+        << "replica " << r << ": log bytes still growing";
+  }
+  EXPECT_TRUE(c.Converged());
 }
 
 }  // namespace
