@@ -1,19 +1,21 @@
 #include "binlog/format.h"
 
 #include <array>
-#include <cstring>
 
+#include "engine/image_codec.h"
 #include "ship/codec.h"
-#include "sql/value.h"
 
 namespace replidb::binlog {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Little-endian integer + varint + value primitives. Self-contained so the
-// segment format is stable even if the ship codec evolves its batch
-// framing around the shared entry payload.
-// ---------------------------------------------------------------------------
+// The payload primitives and the row encoding are the engine's image
+// codec (engine/image_codec.h): a checkpoint stores a BackupImage's rows as
+// the bytes the image already holds. Both are independent of the ship
+// codec, so the segment format stays stable if the wire format evolves.
+using engine::ImageReader;
+using engine::PutFixed64;
+using engine::PutString;
+using engine::PutVarint;
 
 void SetFixed32(uint32_t v, char* p) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
@@ -25,140 +27,6 @@ uint32_t GetFixed32(const char* p) {
     v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
   }
   return v;
-}
-
-void PutFixed64(uint64_t v, std::string* out) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(buf, 8);
-}
-
-void PutVarint(uint64_t v, std::string* out) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
-void PutString(std::string_view s, std::string* out) {
-  PutVarint(s.size(), out);
-  out->append(s.data(), s.size());
-}
-
-/// Bounded reader over a payload; every getter fails sticky on overrun.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  bool ok() const { return ok_; }
-  bool AtEnd() const { return pos_ >= data_.size(); }
-
-  uint64_t Varint() {
-    uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-      if (pos_ >= data_.size() || shift > 63) return Fail();
-      uint8_t b = static_cast<uint8_t>(data_[pos_++]);
-      v |= static_cast<uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) return v;
-      shift += 7;
-    }
-  }
-
-  uint64_t Fixed64() {
-    if (pos_ + 8 > data_.size()) return Fail();
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-
-  uint8_t Byte() {
-    if (pos_ >= data_.size()) return static_cast<uint8_t>(Fail());
-    return static_cast<uint8_t>(data_[pos_++]);
-  }
-
-  std::string String() {
-    uint64_t n = Varint();
-    if (!ok_ || pos_ + n > data_.size()) {
-      Fail();
-      return std::string();
-    }
-    std::string s(data_.substr(pos_, n));
-    pos_ += n;
-    return s;
-  }
-
- private:
-  uint64_t Fail() {
-    ok_ = false;
-    pos_ = data_.size();
-    return 0;
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-void PutValue(const sql::Value& v, std::string* out) {
-  out->push_back(static_cast<char>(v.type()));
-  switch (v.type()) {
-    case sql::ValueType::kNull:
-      break;
-    case sql::ValueType::kInt:
-      PutFixed64(static_cast<uint64_t>(v.AsInt()), out);
-      break;
-    case sql::ValueType::kDouble: {
-      uint64_t bits = 0;
-      double d = v.AsDouble();
-      std::memcpy(&bits, &d, sizeof(bits));
-      PutFixed64(bits, out);
-      break;
-    }
-    case sql::ValueType::kString:
-      PutString(v.AsString(), out);
-      break;
-    case sql::ValueType::kBool:
-      out->push_back(v.AsBool() ? 1 : 0);
-      break;
-  }
-}
-
-sql::Value GetValue(Reader* r) {
-  switch (static_cast<sql::ValueType>(r->Byte())) {
-    case sql::ValueType::kNull:
-      return sql::Value::Null();
-    case sql::ValueType::kInt:
-      return sql::Value::Int(static_cast<int64_t>(r->Fixed64()));
-    case sql::ValueType::kDouble: {
-      uint64_t bits = r->Fixed64();
-      double d = 0;
-      std::memcpy(&d, &bits, sizeof(d));
-      return sql::Value::Double(d);
-    }
-    case sql::ValueType::kString:
-      return sql::Value::String(r->String());
-    case sql::ValueType::kBool:
-      return sql::Value::Bool(r->Byte() != 0);
-  }
-  return sql::Value::Null();
-}
-
-void PutRow(const sql::Row& row, std::string* out) {
-  PutVarint(row.size(), out);
-  for (const sql::Value& v : row) PutValue(v, out);
-}
-
-sql::Row GetRow(Reader* r) {
-  sql::Row row;
-  uint64_t n = r->Varint();
-  for (uint64_t i = 0; i < n && r->ok(); ++i) row.push_back(GetValue(r));
-  return row;
 }
 
 constexpr uint32_t kCrcTableSeed = 0xedb88320u;  // Reflected IEEE poly.
@@ -329,8 +197,8 @@ void AppendCheckpointPayload(const CheckpointRecord& cp, std::string* out) {
       PutFixed64(static_cast<uint64_t>(t.schema.primary_key_index), out);
       out->push_back(t.schema.temporary ? 1 : 0);
       PutFixed64(static_cast<uint64_t>(t.auto_increment), out);
-      PutVarint(t.rows.size(), out);
-      for (const sql::Row& row : t.rows) PutRow(row, out);
+      PutVarint(t.row_count, out);
+      out->append(t.row_bytes);
     }
     PutVarint(db.sequences.size(), out);
     for (const auto& [name, next] : db.sequences) {
@@ -345,7 +213,7 @@ void AppendCheckpointPayload(const CheckpointRecord& cp, std::string* out) {
 }
 
 Result<CheckpointRecord> DecodeCheckpointPayload(std::string_view payload) {
-  Reader r(payload);
+  ImageReader r(payload);
   CheckpointRecord cp;
   cp.version = r.Varint();
   cp.taken_at_us = static_cast<int64_t>(r.Fixed64());
@@ -383,10 +251,8 @@ Result<CheckpointRecord> DecodeCheckpointPayload(std::string_view payload) {
       t.schema.primary_key_index = static_cast<int>(r.Fixed64());
       t.schema.temporary = r.Byte() != 0;
       t.auto_increment = static_cast<int64_t>(r.Fixed64());
-      uint64_t nr = r.Varint();
-      for (uint64_t ri = 0; ri < nr && r.ok(); ++ri) {
-        t.rows.push_back(GetRow(&r));
-      }
+      t.row_count = r.Varint();
+      t.row_bytes = r.Rows(t.row_count);
       db.tables.push_back(std::move(t));
     }
     uint64_t ns = r.Varint();

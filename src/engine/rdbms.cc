@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "engine/image_codec.h"
 #include "obs/metrics.h"
 #include "sql/parser.h"
 
@@ -66,7 +67,7 @@ int64_t BackupImage::SizeBytes() const {
   for (const auto& db : databases) {
     for (const auto& t : db.tables) {
       bytes += 256;
-      bytes += static_cast<int64_t>(t.rows.size()) * 64;
+      bytes += static_cast<int64_t>(t.row_count) * 64;
     }
   }
   return bytes;
@@ -1473,9 +1474,6 @@ Result<BackupImage> Rdbms::Backup(const BackupOptions& opts) const {
   image.as_of = commit_seq_;
   image.has_metadata = opts.include_metadata;
   image.has_sequences = opts.include_sequences;
-  TxnView view;
-  view.snapshot = commit_seq_;
-  view.level = IsolationLevel::kSnapshot;
   for (const auto& [db_name, database] : databases_) {
     BackupImage::DatabaseImage di;
     di.name = db_name;
@@ -1483,7 +1481,7 @@ Result<BackupImage> Rdbms::Backup(const BackupOptions& opts) const {
       (void)tname;
       BackupImage::TableImage ti;
       ti.schema = table->schema();
-      table->ScanRows(view, &ti.rows);
+      ti.row_count = table->EncodeImage(commit_seq_, &ti.row_bytes);
       if (opts.include_sequences) {
         ti.auto_increment = table->auto_increment_counter();
       }
@@ -1497,6 +1495,18 @@ Result<BackupImage> Rdbms::Backup(const BackupOptions& opts) const {
     for (const TriggerDef& t : triggers_) image.trigger_names.push_back(t.name);
   }
   return image;
+}
+
+int64_t Rdbms::ImageCacheBytes() const {
+  int64_t bytes = 0;
+  for (const auto& [db_name, database] : databases_) {
+    (void)db_name;
+    for (const auto& [tname, table] : database.tables) {
+      (void)tname;
+      bytes += table->image_cache_bytes();
+    }
+  }
+  return bytes;
 }
 
 Status Rdbms::Restore(const BackupImage& image) {
@@ -1516,8 +1526,14 @@ Status Rdbms::Restore(const BackupImage& image) {
       TxnView load_view;
       load_view.id = next_txn_++;
       load_view.level = IsolationLevel::kReadCommitted;
-      for (const sql::Row& row : ti.rows) {
-        Result<RowId> rid = table->Insert(load_view, row, nullptr);
+      ImageReader rows(ti.row_bytes);
+      for (uint64_t i = 0; i < ti.row_count; ++i) {
+        sql::Row row = rows.Row();
+        if (!rows.ok()) {
+          return Status::InvalidArgument("backup image: malformed row of " +
+                                         ti.schema.name);
+        }
+        Result<RowId> rid = table->Insert(load_view, std::move(row), nullptr);
         if (!rid.ok()) return rid.status();
       }
       table->CommitTxn(load_view.id, commit_seq_ == 0 ? 1 : commit_seq_);

@@ -73,6 +73,12 @@ struct BackupOptions {
 };
 
 /// \brief A point-in-time backup image of an Rdbms.
+///
+/// Table rows are held encoded, in the row encoding of image_codec.h,
+/// which is also how a binlog checkpoint record stores them: writing a
+/// checkpoint copies the bytes, and only Restore decodes them. Backup
+/// takes each table's bytes from the image the table keeps, re-encoding
+/// only the rows committed since its previous image (DESIGN §9).
 struct BackupImage {
   std::string source_name;
   CommitSeq as_of = 0;
@@ -81,7 +87,10 @@ struct BackupImage {
 
   struct TableImage {
     TableSchema schema;
-    std::vector<sql::Row> rows;
+    uint64_t row_count = 0;
+    /// The row_count rows visible at as_of, encoded, in the source's
+    /// physical order.
+    std::string row_bytes;
     int64_t auto_increment = 1;  ///< Only meaningful if has_sequences.
   };
   struct DatabaseImage {
@@ -205,6 +214,10 @@ class Rdbms {
   size_t trigger_count() const { return triggers_.size(); }
 
   Result<BackupImage> Backup(const BackupOptions& opts) const;
+
+  /// Bytes the tables hold between Backups: their kept images and change
+  /// records (replica.<id>.image_bytes gauge).
+  int64_t ImageCacheBytes() const;
 
   /// Replaces this engine's entire contents with the image (replica
   /// cloning / restore). Sessions must be closed first.

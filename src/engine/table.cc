@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "engine/image_codec.h"
+
 namespace replidb::engine {
 
 namespace {
@@ -296,6 +298,10 @@ void VersionedTable::UndoDelete(TxnId txn, RowId row_id) {
   }
 }
 
+uint64_t VersionedTable::PhysicalKey(RowId rid) const {
+  return Mix64(rid ^ physical_seed_);
+}
+
 std::vector<VersionedTable::ScanHit> VersionedTable::PhysicalOrder(
     const TxnView& txn, ExecStats* stats) const {
   std::vector<ScanHit> hits;
@@ -303,8 +309,7 @@ std::vector<VersionedTable::ScanHit> VersionedTable::PhysicalOrder(
     if (stats) stats->rows_scanned += chain.versions.size();
     int idx = VisibleIndex(txn, chain);
     if (idx >= 0) {
-      hits.push_back({Mix64(rid ^ physical_seed_), rid,
-                      &chain.versions[idx].data});
+      hits.push_back({PhysicalKey(rid), rid, &chain.versions[idx].data});
     }
   }
   // "Physical" order: a seeded shuffle standing in for page layout. Two
@@ -327,11 +332,97 @@ void VersionedTable::Scan(const TxnView& txn,
   }
 }
 
-void VersionedTable::ScanRows(const TxnView& txn,
-                              std::vector<sql::Row>* out) const {
-  std::vector<ScanHit> hits = PhysicalOrder(txn, nullptr);
-  out->reserve(out->size() + hits.size());
-  for (const ScanHit& h : hits) out->push_back(*h.row);
+uint64_t VersionedTable::EncodeImage(CommitSeq latest,
+                                     std::string* out) const {
+  TxnView view;
+  view.snapshot = latest;
+  view.level = IsolationLevel::kSnapshot;
+  if (!has_image_) {
+    for (const ScanHit& h : PhysicalOrder(view, nullptr)) {
+      size_t start = image_bytes_.size();
+      PutImageRow(*h.row, &image_bytes_);
+      image_rows_.push_back(
+          {h.order, static_cast<uint32_t>(image_bytes_.size() - start)});
+    }
+    has_image_ = true;
+  } else if (!image_changes_.empty()) {
+    PatchImage(view);
+  }
+  out->append(image_bytes_);
+  return image_rows_.size();
+}
+
+void VersionedTable::PatchImage(const TxnView& latest) const {
+  // Each changed row's version at `latest`, looked up in RowId order
+  // (neighbouring chains sit near each other), then sorted into physical
+  // order for the merge. A row with no visible version leaves the image.
+  std::sort(image_changes_.begin(), image_changes_.end());
+  image_changes_.erase(
+      std::unique(image_changes_.begin(), image_changes_.end()),
+      image_changes_.end());
+  std::vector<ScanHit> changed;
+  changed.reserve(image_changes_.size());
+  for (RowId rid : image_changes_) {
+    const sql::Row* row = nullptr;
+    auto it = rows_.find(rid);
+    int idx = it == rows_.end() ? -1 : VisibleIndex(latest, it->second);
+    if (idx >= 0) row = &it->second.versions[idx].data;
+    changed.push_back({PhysicalKey(rid), rid, row});
+  }
+  image_changes_.clear();
+  std::sort(changed.begin(), changed.end(),
+            [](const ScanHit& a, const ScanHit& b) {
+              return a.order < b.order;
+            });
+
+  // One pass over the old image: runs of unchanged rows are copied whole,
+  // changed rows are re-encoded, gone rows are skipped. Keys are unique,
+  // since PhysicalKey is a bijection of RowIds.
+  size_t mean_row =
+      image_bytes_.size() / std::max<size_t>(image_rows_.size(), 1);
+  std::string bytes;
+  bytes.reserve(image_bytes_.size() + changed.size() * (mean_row + 1));
+  std::vector<ImageRow> rows;
+  rows.reserve(image_rows_.size() + changed.size());
+  size_t next = 0;     // Next old row, and its offset in image_bytes_.
+  size_t offset = 0;
+  size_t run = 0;      // First old row of the run not yet copied, and its
+  size_t run_at = 0;   // offset.
+  for (const ScanHit& c : changed) {
+    while (next < image_rows_.size() && image_rows_[next].order < c.order) {
+      offset += image_rows_[next++].bytes;
+    }
+    rows.insert(rows.end(), image_rows_.begin() + run,
+                image_rows_.begin() + next);
+    bytes.append(image_bytes_, run_at, offset - run_at);
+    if (next < image_rows_.size() && image_rows_[next].order == c.order) {
+      offset += image_rows_[next++].bytes;  // The old encoding goes.
+    }
+    run = next;
+    run_at = offset;
+    if (c.row != nullptr) {
+      size_t start = bytes.size();
+      PutImageRow(*c.row, &bytes);
+      rows.push_back({c.order, static_cast<uint32_t>(bytes.size() - start)});
+    }
+  }
+  rows.insert(rows.end(), image_rows_.begin() + run, image_rows_.end());
+  bytes.append(image_bytes_, run_at);
+  image_bytes_.swap(bytes);
+  image_rows_.swap(rows);
+}
+
+void VersionedTable::DropImage() const {
+  has_image_ = false;
+  std::string().swap(image_bytes_);
+  std::vector<ImageRow>().swap(image_rows_);
+  std::vector<RowId>().swap(image_changes_);
+}
+
+int64_t VersionedTable::image_cache_bytes() const {
+  return static_cast<int64_t>(image_bytes_.size() +
+                              image_rows_.size() * sizeof(ImageRow) +
+                              image_changes_.size() * sizeof(RowId));
 }
 
 Result<sql::Row> VersionedTable::Get(const TxnView& txn, RowId row_id) const {
@@ -366,6 +457,18 @@ void VersionedTable::CommitTxn(TxnId txn, CommitSeq commit_seq,
                                CommitSeq gc_horizon) {
   auto it = pending_.find(txn);
   if (it == pending_.end()) return;
+  // Stamping is the only change to which version the latest snapshot
+  // sees, so a kept image is current again once these rows are patched.
+  // A record longer than the table would cost more to merge than a
+  // fresh image costs to build: then both go.
+  if (has_image_) {
+    if (image_changes_.size() + it->second.size() > rows_.size()) {
+      DropImage();
+    } else {
+      image_changes_.insert(image_changes_.end(), it->second.begin(),
+                            it->second.end());
+    }
+  }
   for (RowId rid : it->second) {
     auto rit = rows_.find(rid);
     if (rit == rows_.end()) continue;

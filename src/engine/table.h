@@ -77,9 +77,16 @@ class VersionedTable {
             std::vector<std::pair<RowId, sql::Row>>* out,
             ExecStats* stats) const;
 
-  /// Scan's rows without their ids, in the same physical order (backup
-  /// images carry rows only).
-  void ScanRows(const TxnView& txn, std::vector<sql::Row>* out) const;
+  /// Appends the rows visible at `latest`, which must be the engine's
+  /// latest commit sequence, to `out` in Scan's physical order and in the
+  /// image row encoding (image_codec.h), and returns how many there are.
+  /// The table keeps the encoded rows, and a later call re-encodes only
+  /// the rows commits changed in between (DESIGN §9).
+  uint64_t EncodeImage(CommitSeq latest, std::string* out) const;
+
+  /// Bytes held by the kept image and its change record: encoded rows,
+  /// 16 per imaged row and 8 per recorded change (memory census).
+  int64_t image_cache_bytes() const;
 
   /// Fetches the version of `row_id` visible to `txn`.
   Result<sql::Row> Get(const TxnView& txn, RowId row_id) const;
@@ -141,10 +148,25 @@ class VersionedTable {
     RowId row_id = 0;
     const sql::Row* row = nullptr;
   };
+  /// One row of the kept image: its physical-order key and the length of
+  /// its encoding in image_bytes_.
+  struct ImageRow {
+    uint64_t order = 0;
+    uint32_t bytes = 0;
+  };
+
+  /// Physical-order sort key of a row (a seeded shuffle of RowIds).
+  uint64_t PhysicalKey(RowId rid) const;
 
   /// The rows visible to `txn`, sorted into physical order.
   std::vector<ScanHit> PhysicalOrder(const TxnView& txn,
                                      ExecStats* stats) const;
+
+  /// Brings the kept image from its snapshot to `latest` by merging the
+  /// recorded changes into it.
+  void PatchImage(const TxnView& latest) const;
+  /// Forgets the kept image and its change record, releasing both.
+  void DropImage() const;
 
   /// Visibility of one version for `txn`.
   bool Visible(const TxnView& txn, const Version& v) const;
@@ -168,6 +190,17 @@ class VersionedTable {
   uint64_t digest_ = 0;
   /// txn -> row ids with pending versions (for commit/rollback).
   HashMap<TxnId, std::set<RowId>> pending_;
+
+  // The last image EncodeImage returned, kept between images (a const
+  // operation's cache, hence mutable; the engine is single-threaded).
+  mutable bool has_image_ = false;
+  /// The image's rows, encoded, in physical order.
+  mutable std::string image_bytes_;
+  mutable std::vector<ImageRow> image_rows_;
+  /// Rows whose committed version CommitTxn has changed since the image;
+  /// unsorted, with repeats. Recorded only while an image is kept, and
+  /// never longer than the table has rows: past that, DropImage.
+  mutable std::vector<RowId> image_changes_;
 };
 
 }  // namespace replidb::engine

@@ -114,6 +114,8 @@ ReplicaNode::ReplicaNode(sim::Simulator* sim, net::Network* network,
       registry.GetGauge("replica." + std::to_string(node) + ".lag_ms");
   sched_keys_gauge_ =
       registry.GetGauge("replica." + std::to_string(node) + ".sched_keys");
+  image_bytes_gauge_ =
+      registry.GetGauge("replica." + std::to_string(node) + ".image_bytes");
 
   dispatcher_->On(kMsgExec, [this](const net::Message& m) { HandleExec(m); });
   dispatcher_->On(kMsgFinish, [this](const net::Message& m) { HandleFinish(m); });
@@ -959,6 +961,7 @@ void ReplicaNode::DurableAppend(const ReplicationEntry& entry) {
 }
 
 void ReplicaNode::MaybeCloseBoundary() {
+  image_bytes_gauge_->Set(engine_->ImageCacheBytes());
   if (options_.binlog.checkpoint_every == 0) return;
   if (entries_since_boundary_ < options_.binlog.checkpoint_every) return;
   CloseBoundary();

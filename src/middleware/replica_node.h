@@ -249,7 +249,8 @@ class ReplicaNode {
   /// of its engine apply) and folds it into the writeset table. Duplicate
   /// versions are ignored.
   void DurableAppend(const ReplicationEntry& entry);
-  /// Closes a log boundary when checkpoint_every entries accumulated.
+  /// Publishes replica.<id>.image_bytes, and closes a log boundary when
+  /// checkpoint_every entries accumulated.
   void MaybeCloseBoundary();
   /// Log boundary: a durable replica captures engine digests + image into
   /// a checkpoint record; every replica rotates the writeset table and
@@ -364,6 +365,7 @@ class ReplicaNode {
   obs::Gauge* backlog_gauge_ = nullptr;  ///< replica.<id>.apply_backlog.
   obs::Gauge* lag_ms_gauge_ = nullptr;   ///< replica.<id>.lag_ms.
   obs::Gauge* sched_keys_gauge_ = nullptr;  ///< replica.<id>.sched_keys.
+  obs::Gauge* image_bytes_gauge_ = nullptr;  ///< replica.<id>.image_bytes.
 };
 
 }  // namespace replidb::middleware

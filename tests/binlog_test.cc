@@ -20,8 +20,10 @@
 #include "binlog/segmented_log.h"
 #include "binlog/writeset_table.h"
 #include "common/rng.h"
+#include "engine/image_codec.h"
 #include "faults/fault_injector.h"
 #include "middleware/cluster.h"
+#include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "workload/load_generator.h"
 #include "workload/workloads.h"
@@ -151,10 +153,13 @@ CheckpointRecord GoldenCheckpoint() {
       {"vip", sql::ValueType::kBool, false, false, false, false}};
   t.schema.primary_key_index = 0;
   t.auto_increment = 17;
-  t.rows = {{sql::Value::Int(1), sql::Value::String("alice"),
-             sql::Value::Double(10.5), sql::Value::Bool(true)},
-            {sql::Value::Int(-2), sql::Value::String("bob"),
-             sql::Value::Null(), sql::Value::Bool(false)}};
+  t.row_count = 2;
+  engine::PutImageRow({sql::Value::Int(1), sql::Value::String("alice"),
+                       sql::Value::Double(10.5), sql::Value::Bool(true)},
+                      &t.row_bytes);
+  engine::PutImageRow({sql::Value::Int(-2), sql::Value::String("bob"),
+                       sql::Value::Null(), sql::Value::Bool(false)},
+                      &t.row_bytes);
   db.tables.push_back(std::move(t));
   db.sequences = {{"order_seq", 1000}};
   img.databases.push_back(std::move(db));
@@ -164,7 +169,10 @@ CheckpointRecord GoldenCheckpoint() {
 }
 
 /// A checkpoint of a live engine: pins Backup's physical row order too.
-CheckpointRecord EngineCheckpoint() {
+/// With `image_after_insert`, the engine takes an image right after the
+/// INSERT, so the checkpoint's image is that one patched with the UPDATE
+/// and the DELETE rather than a fresh encode.
+CheckpointRecord EngineCheckpoint(bool image_after_insert) {
   engine::Rdbms db{engine::RdbmsOptions{}};
   engine::SessionId s = db.Connect().value();
   db.Execute(s,
@@ -173,6 +181,12 @@ CheckpointRecord EngineCheckpoint() {
   db.Execute(s,
              "INSERT INTO accounts VALUES (1, 100, 'ann'), (2, 200, 'ben'), "
              "(3, 300, 'cy'), (4, 400, 'di'), (5, 500, 'ed')");
+  engine::BackupOptions bo;
+  bo.include_metadata = true;
+  bo.include_sequences = true;
+  if (image_after_insert) {
+    EXPECT_TRUE(db.Backup(bo).ok());
+  }
   db.Execute(s, "UPDATE accounts SET balance = balance + 1 WHERE id = 3");
   db.Execute(s, "DELETE FROM accounts WHERE id = 4");
   db.Disconnect(s);
@@ -180,9 +194,6 @@ CheckpointRecord EngineCheckpoint() {
   cp.version = db.last_commit_seq();
   cp.taken_at_us = 5;
   cp.digests = db.TableDigests();
-  engine::BackupOptions bo;
-  bo.include_metadata = true;
-  bo.include_sequences = true;
   cp.image = db.Backup(bo).TakeValue();
   return cp;
 }
@@ -219,10 +230,17 @@ TEST(FormatTest, CheckpointFramesMatchGoldenBytes) {
       "0010561646d696e00";
   for (const auto& [cp, golden] :
        {std::make_pair(GoldenCheckpoint(), kGolden),
-        std::make_pair(EngineCheckpoint(), kEngineGolden)}) {
+        std::make_pair(EngineCheckpoint(false), kEngineGolden),
+        std::make_pair(EngineCheckpoint(true), kEngineGolden)}) {
     std::string frame;
-    PutRecord(RecordType::kCheckpoint, EncodeCheckpointPayload(cp), &frame);
+    std::string payload = EncodeCheckpointPayload(cp);
+    PutRecord(RecordType::kCheckpoint, payload, &frame);
     EXPECT_EQ(Hex(frame), golden);
+    // Decoding keeps the rows' bytes: encoding the result again must
+    // give the same payload.
+    Result<CheckpointRecord> back = DecodeCheckpointPayload(payload);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(EncodeCheckpointPayload(back.value()), payload);
     // The log encodes checkpoints in place, into its frame buffer: the
     // bytes it stores must be the same frame.
     MemLogStore store;
@@ -232,6 +250,19 @@ TEST(FormatTest, CheckpointFramesMatchGoldenBytes) {
     ASSERT_TRUE(stored.ok());
     EXPECT_EQ(Hex(stored.value()), golden);
   }
+}
+
+// A length is checked against the bytes left. Checked as pos + n > size,
+// a name declaring 2^64 - 1 bytes wraps the sum and decodes as empty.
+TEST(FormatTest, CheckpointDecodeRejectsLengthPastTheEnd) {
+  CheckpointRecord cp;
+  cp.image.trigger_names = {""};
+  std::string payload = EncodeCheckpointPayload(cp);
+  ASSERT_TRUE(DecodeCheckpointPayload(payload).ok());
+  ASSERT_EQ(payload.back(), '\0');  // The last trigger name's length.
+  payload.pop_back();
+  payload.append("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", 10);
+  EXPECT_FALSE(DecodeCheckpointPayload(payload).ok());
 }
 
 TEST(FormatTest, ParseRejectsCorruptionAndTruncation) {
@@ -1205,6 +1236,88 @@ TEST(BinlogClusterTest, NonDurableSyncClusterAppliesEveryAckedWriteOnce) {
     EXPECT_EQ(r.rows[0][0].AsInt(), expected)
         << "replica " << i << " lost or duplicated an acked increment";
     db->Disconnect(s);
+  }
+}
+
+// With checkpoint_every = 0 a durable log keeps only its setup checkpoint,
+// and no later image ever drains the table's change record. The record
+// must stop at the table's row count, by dropping the kept image, and a
+// later image must still equal a fresh scan.
+TEST(BinlogClusterTest, ImageChangeRecordStaysBoundedWithoutBoundaries) {
+  constexpr int64_t kRows = 200;
+  workload::MicroWorkload::Options wo;
+  wo.rows = kRows;
+  wo.write_fraction = 1.0;
+  workload::MicroWorkload w(wo);
+  middleware::ClusterOptions opts;
+  opts.replicas = 3;
+  opts.controller.mode = middleware::ReplicationMode::kMasterSlaveAsync;
+  opts.replica.binlog.durable = true;
+  opts.replica.binlog.checkpoint_every = 0;
+  middleware::Cluster c(std::move(opts));
+  c.Setup(w.SetupStatements());
+  c.Start();
+  const size_t n = c.replicas.size();
+  std::vector<int64_t> setup_bytes(n);
+  std::vector<bool> dropped(n, false);
+  auto db_of = [&](size_t r) {
+    return c.replica(static_cast<int>(r))->engine();
+  };
+  auto gauge_of = [&](size_t r) {
+    return obs::MetricsRegistry::Global()
+        .GetGauge("replica." +
+                  std::to_string(c.replica(static_cast<int>(r))->id()) +
+                  ".image_bytes")
+        ->value();
+  };
+  for (size_t r = 0; r < n; ++r) {
+    setup_bytes[r] = db_of(r)->ImageCacheBytes();
+    ASSERT_GT(setup_bytes[r], 0) << "the setup checkpoint keeps an image";
+  }
+  const engine::CommitSeq start = db_of(0)->last_commit_seq();
+
+  workload::OpenLoopGenerator gen(&c.sim, c.driver(0), &w, /*rate_tps=*/400,
+                                  /*seed=*/7);
+  gen.Arm(c.sim.Now() + 3 * kSecond);
+  for (int i = 0; i < 400; ++i) {
+    c.sim.RunFor(10 * kMillisecond);
+    for (size_t r = 0; r < n; ++r) {
+      // Nothing images the table again, so any growth is the record:
+      // 8 bytes per recorded row, at most one per row of the table.
+      int64_t bytes = db_of(r)->ImageCacheBytes();
+      // A slave publishes the gauge right after each apply.
+      if (r > 0 && bytes != setup_bytes[r]) {
+        ASSERT_EQ(gauge_of(r), bytes) << "replica " << r;
+      }
+      if (bytes == 0) {
+        dropped[r] = true;
+      } else {
+        ASSERT_FALSE(dropped[r]) << "replica " << r << " re-imaged its table";
+        ASSERT_LE(bytes - setup_bytes[r], kRows * 8) << "replica " << r;
+      }
+    }
+  }
+  ASSERT_GE(db_of(0)->last_commit_seq() - start,
+            static_cast<engine::CommitSeq>(2 * kRows));
+  engine::BackupOptions bo;
+  bo.include_metadata = true;
+  bo.include_sequences = true;
+  for (size_t r = 0; r < n; ++r) {
+    EXPECT_TRUE(dropped[r]) << "replica " << r;
+    EXPECT_EQ(gauge_of(r), 0) << "replica " << r;
+    engine::Rdbms* db = db_of(r);
+    Result<engine::BackupImage> image = db->Backup(bo);
+    ASSERT_TRUE(image.ok());
+    const engine::BackupImage::TableImage& table =
+        image.value().databases.front().tables.front();
+    engine::SessionId s = db->Connect().value();
+    engine::ExecResult scan = db->Execute(s, "SELECT * FROM accounts");
+    db->Disconnect(s);
+    ASSERT_TRUE(scan.ok());
+    std::string bytes;
+    for (const sql::Row& row : scan.rows) engine::PutImageRow(row, &bytes);
+    EXPECT_EQ(table.row_count, static_cast<uint64_t>(kRows));
+    EXPECT_TRUE(table.row_bytes == bytes) << "replica " << r;
   }
 }
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/rng.h"
+#include "engine/image_codec.h"
 #include "engine/rdbms.h"
 
 namespace replidb::engine {
@@ -689,6 +693,242 @@ TEST_F(EngineTest, RestoreRequiresNoSessions) {
   EXPECT_TRUE(db_->Restore(img).ok());
   session_ = db_->Connect().value();
   EXPECT_EQ(db_->TableRowCount("main", "accounts"), 3u);
+}
+
+// --- Kept table images (DESIGN §9) ----------------------------------------------
+
+/// Every table image in `img` must hold exactly the rows a full scan of
+/// that table returns now, in scan order and in the image row encoding.
+void ExpectImagesMatchScans(Rdbms* db, const BackupImage& img,
+                            const std::string& context) {
+  SessionId s = db->Connect().value();
+  for (const BackupImage::DatabaseImage& di : img.databases) {
+    for (const BackupImage::TableImage& ti : di.tables) {
+      std::string name = di.name + "." + ti.schema.name;
+      ExecResult scan = db->Execute(s, "SELECT * FROM " + name);
+      ASSERT_TRUE(scan.ok()) << name << ": " << scan.status.ToString();
+      std::string bytes;
+      for (const sql::Row& row : scan.rows) PutImageRow(row, &bytes);
+      EXPECT_EQ(ti.row_count, scan.rows.size()) << name << ", " << context;
+      EXPECT_TRUE(ti.row_bytes == bytes) << name << ", " << context;
+    }
+  }
+  db->Disconnect(s);
+}
+
+// Row decoding rejects what the binlog's CRC cannot vouch for: a string
+// length past the end of the bytes (2^64 - 1 here, which wraps a check
+// written as pos + n > size) and an unknown value type.
+TEST(ImageCodecTest, MalformedRowsFailToDecode) {
+  std::string wrapping = "\x01\x03";  // One column, a string.
+  wrapping.append("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", 10);
+  const std::string unknown("\x01\x09", 2);
+  for (const std::string& bytes : {wrapping, unknown}) {
+    ImageReader r(bytes);
+    r.Row();
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(ImageReader(bytes).Rows(1).empty());
+  }
+}
+
+// Seeded random DML, DDL, writeset apply and restores, with an image taken
+// every 1 to 700 steps; each image must equal a fresh scan. Short gaps
+// patch a few rows into the kept image; long ones outgrow the change
+// record, which drops the image, and the next one is rebuilt.
+TEST(KeptImageTest, IncrementalImagesEqualFullScans) {
+  RdbmsOptions opts;
+  opts.physical_seed = 11;
+  Rdbms db(opts);
+  Rng rng(20261017);
+  constexpr int kSessions = 3;
+  constexpr int64_t kKeys = 40;
+  std::vector<SessionId> sessions;
+  std::vector<bool> in_txn;
+  auto connect_all = [&] {
+    sessions.clear();
+    for (int i = 0; i < kSessions; ++i) {
+      sessions.push_back(db.Connect().value());
+    }
+    in_txn.assign(kSessions, false);
+  };
+  auto exec = [&](int si, const std::string& sql) {
+    return db.Execute(sessions[si], sql);
+  };
+  auto any_txn = [&] {
+    return std::find(in_txn.begin(), in_txn.end(), true) != in_txn.end();
+  };
+  // Two row shapes: "t" tables (INT, TEXT) and "u" tables (DOUBLE, BOOL).
+  auto values = [&](const std::string& table, int64_t id) {
+    int64_t x = rng.UniformRange(-500, 500);
+    std::string row = "(" + std::to_string(id) + ", " + std::to_string(x);
+    if (table.find(".t") != std::string::npos) {
+      return row + ", 's" + std::string(rng.Uniform(12), 'x') + "')";
+    }
+    return row + ".25, " + (x % 2 == 0 ? "TRUE" : "FALSE") + ")";
+  };
+  auto set_clause = [&](const std::string& table) {
+    int64_t x = rng.UniformRange(-500, 500);
+    if (table.find(".t") != std::string::npos) {
+      return "v = " + std::to_string(x) + ", s = 'r" +
+             std::string(rng.Uniform(12), 'y') + "'";
+    }
+    return "v = " + std::to_string(x) + ".75, b = " +
+           std::string(x % 2 == 0 ? "TRUE" : "FALSE");
+  };
+
+  connect_all();
+  exec(0, "CREATE TABLE t1 (id INT PRIMARY KEY, v INT, s TEXT)");
+  exec(0, "CREATE TABLE u1 (id INT PRIMARY KEY, v DOUBLE, b BOOL)");
+  std::vector<std::string> tables = {"main.t1", "main.u1"};
+  for (const std::string& t : tables) {
+    for (int64_t id = 0; id < kKeys; id += 2) {
+      exec(0, "INSERT INTO " + t + " VALUES " + values(t, id));
+    }
+  }
+  BackupOptions bo;
+  bo.include_metadata = true;
+  bo.include_sequences = true;
+  bool created_db = false;
+  bool restored = false;
+  int images = 0;
+  int dropped = 0;  // Images no table kept, with no restore since the last.
+  int next_image = 0;
+  for (int step = 0; step < 8000; ++step) {
+    if (step == next_image) {
+      if (images > 0 && !restored && db.ImageCacheBytes() == 0) ++dropped;
+      restored = false;
+      Result<BackupImage> img = db.Backup(bo);
+      ASSERT_TRUE(img.ok());
+      ExpectImagesMatchScans(&db, img.value(),
+                             "image " + std::to_string(images));
+      if (HasFailure()) return;
+      ++images;
+      next_image = step + static_cast<int>(rng.Chance(0.15)
+                                               ? rng.UniformRange(300, 700)
+                                               : rng.UniformRange(1, 12));
+    }
+    int si = static_cast<int>(rng.Uniform(kSessions));
+    const std::string t = tables[rng.Uniform(tables.size())];
+    int64_t k = rng.UniformRange(0, kKeys - 1);
+    std::string key = std::to_string(k);
+    switch (rng.Uniform(16)) {
+      case 0:
+      case 1:
+        exec(si, "INSERT INTO " + t + " VALUES " + values(t, k));
+        break;
+      case 2:
+      case 3:
+      case 4:
+        exec(si,
+             "UPDATE " + t + " SET " + set_clause(t) + " WHERE id = " + key);
+        break;
+      case 5:  // Primary-key change.
+        exec(si, "UPDATE " + t + " SET id = " +
+                     std::to_string(rng.UniformRange(0, kKeys - 1)) +
+                     " WHERE id = " + key);
+        break;
+      case 6:
+        exec(si, "DELETE FROM " + t + " WHERE id = " + key);
+        break;
+      case 7:  // Statement-level undo: the second row collides.
+        exec(si, "INSERT INTO " + t + " VALUES " + values(t, kKeys + k) +
+                     ", " + values(t, kKeys + k));
+        break;
+      case 8:  // Statement-level undo: several rows take one key.
+        exec(si, "UPDATE " + t + " SET id = " + key + " WHERE id >= " +
+                     std::to_string(k / 2));
+        break;
+      case 9:
+      case 10:
+        if (!in_txn[si]) {
+          in_txn[si] = rng.Chance(0.4) && exec(si, "BEGIN").ok();
+        } else {
+          exec(si, rng.Chance(0.3) ? "ROLLBACK" : "COMMIT");
+          in_txn[si] = false;
+        }
+        break;
+      case 11: {
+        Writeset ws;
+        for (int n = 0; n < 3; ++n) {
+          WriteOp op;
+          op.kind = static_cast<WriteOpKind>(rng.Uniform(3));
+          op.database = "main";
+          op.table = t.substr(t.find('.') + 1);
+          int64_t id = rng.UniformRange(0, kKeys - 1);
+          op.primary_key = Value::Int(id);
+          if (op.kind != WriteOpKind::kDelete) {
+            bool text = op.table[0] == 't';
+            op.after = {Value::Int(id), text ? Value::Int(id * 3)
+                                             : Value::Double(id * 0.5)};
+            op.after.push_back(text ? Value::String("ws")
+                                    : Value::Bool(id % 2 == 0));
+          }
+          ws.ops.push_back(std::move(op));
+        }
+        (void)db.ApplyWriteset(ws);
+        break;
+      }
+      case 12:  // DROP and re-CREATE of the same table.
+        if (!any_txn() && rng.Chance(0.1)) {
+          exec(si, "DROP TABLE " + t);
+          exec(si, "CREATE TABLE " + t +
+                       (t.find(".t") != std::string::npos
+                            ? " (id INT PRIMARY KEY, v INT, s TEXT)"
+                            : " (id INT PRIMARY KEY, v DOUBLE, b BOOL)"));
+        }
+        break;
+      case 13:
+        if (!created_db && !any_txn() && step > 1000) {
+          created_db = true;
+          exec(si, "CREATE DATABASE other");
+          exec(si, "CREATE TABLE other.t2 (id INT PRIMARY KEY, v INT, s TEXT)");
+          tables.push_back("other.t2");
+        }
+        break;
+      case 14:  // Restore from a fresh image into the same engine.
+        if (rng.Chance(0.05)) {
+          for (SessionId s : sessions) db.Disconnect(s);
+          Result<BackupImage> img = db.Backup(bo);
+          ASSERT_TRUE(img.ok());
+          ASSERT_TRUE(db.Restore(img.value()).ok());
+          connect_all();
+          restored = true;
+        }
+        break;
+      default:
+        exec(si, "SELECT * FROM " + t + " WHERE id = " + key);
+        break;
+    }
+  }
+  EXPECT_GT(images, 80);
+  EXPECT_GT(dropped, 0) << "no gap outgrew the change records";
+  EXPECT_TRUE(created_db);
+}
+
+// The change record holds at most as many rows as the table: one more
+// drops the kept image, and the next Backup builds it afresh.
+TEST_F(EngineTest, ImageChangeRecordNeverOutgrowsTheTable) {
+  MustExec("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  for (int id = 0; id < 10; ++id) {
+    MustExec("INSERT INTO t VALUES (" + std::to_string(id) + ", 0)");
+  }
+  EXPECT_EQ(db_->ImageCacheBytes(), 0);
+  ASSERT_TRUE(db_->Backup(BackupOptions{}).ok());
+  const int64_t kept = db_->ImageCacheBytes();
+  EXPECT_GT(kept, 0);
+  for (int i = 0; i < 10; ++i) {
+    MustExec("UPDATE t SET v = v + 1 WHERE id = " + std::to_string(i % 4));
+  }
+  EXPECT_EQ(db_->ImageCacheBytes(), kept + 10 * 8)
+      << "ten recorded changes of a ten-row table";
+  MustExec("UPDATE t SET v = v + 1 WHERE id = 0");
+  EXPECT_EQ(db_->ImageCacheBytes(), 0) << "an eleventh drops image and record";
+  MustExec("UPDATE t SET v = v + 1 WHERE id = 0");
+  EXPECT_EQ(db_->ImageCacheBytes(), 0) << "no image, no record";
+  Result<BackupImage> img = db_->Backup(BackupOptions{});
+  ASSERT_TRUE(img.ok());
+  ExpectImagesMatchScans(db_.get(), img.value(), "rebuilt");
+  EXPECT_EQ(db_->ImageCacheBytes(), kept);
 }
 
 // --- Faults ----------------------------------------------------------------------
