@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "binlog/format.h"
 #include "binlog/log_store.h"
 #include "binlog/segmented_log.h"
@@ -134,6 +136,40 @@ void BM_EnginePointUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_EnginePointUpdate);
 
+// Random keys over range(0) rows: sequential keys (above) walk
+// neighbouring index entries and hide the cache misses of a cold lookup.
+std::vector<int64_t> RandomKeys(int64_t rows) {
+  Rng rng(13);
+  std::vector<int64_t> keys(4096);
+  for (int64_t& k : keys) k = rng.UniformRange(0, rows - 1);
+  return keys;
+}
+
+void BM_EnginePointReadRandom(benchmark::State& state) {
+  EngineFixture f(static_cast<int>(state.range(0)));
+  std::vector<int64_t> keys = RandomKeys(state.range(0));
+  size_t i = 0;
+  for (auto _ : state) {
+    auto r = f.db.Execute(f.session, "SELECT v FROM accounts WHERE id = " +
+                                         std::to_string(keys[i++ % 4096]));
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_EnginePointReadRandom)->Arg(1000)->Arg(20000);
+
+void BM_EnginePointUpdateRandom(benchmark::State& state) {
+  EngineFixture f(static_cast<int>(state.range(0)));
+  std::vector<int64_t> keys = RandomKeys(state.range(0));
+  size_t i = 0;
+  for (auto _ : state) {
+    auto r = f.db.Execute(f.session,
+                          "UPDATE accounts SET v = v + 1 WHERE id = " +
+                              std::to_string(keys[i++ % 4096]));
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_EnginePointUpdateRandom)->Arg(1000)->Arg(20000);
+
 void BM_EngineInsert(benchmark::State& state) {
   EngineFixture f(0);
   int64_t i = 0;
@@ -190,6 +226,28 @@ void BM_WritesetApply(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * ops);
 }
 BENCHMARK(BM_WritesetApply)->Arg(1)->Arg(10)->Arg(100);
+
+// One-row update writesets at random keys over range(0) rows: the replica
+// apply path of a point write (PK lookup, version append, commit).
+void BM_WritesetApplyRandom(benchmark::State& state) {
+  EngineFixture target(static_cast<int>(state.range(0)));
+  std::vector<engine::Writeset> writesets;
+  for (int64_t k : RandomKeys(state.range(0))) {
+    engine::WriteOp op;
+    op.kind = engine::WriteOpKind::kUpdate;
+    op.database = "main";
+    op.table = "accounts";
+    op.primary_key = sql::Value::Int(k);
+    op.after = {sql::Value::Int(k), sql::Value::Int(k % 7)};
+    writesets.emplace_back().ops.push_back(std::move(op));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    auto r = target.db.ApplyWriteset(writesets[i++ % writesets.size()]);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_WritesetApplyRandom)->Arg(1000)->Arg(20000);
 
 // --- Certification ----------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "common/logging.h"
@@ -143,7 +144,11 @@ class StatementExecutor {
           return Value::Bool(!arg.value().Truthy());
         }
         if (arg.value().type() == sql::ValueType::kInt) {
-          return Value::Int(-arg.value().AsInt());
+          int64_t out = 0;
+          if (__builtin_sub_overflow(int64_t{0}, arg.value().AsInt(), &out)) {
+            return Status::InvalidArgument("integer out of range");
+          }
+          return Value::Int(out);
         }
         return Value::Double(-arg.value().NumericValue());
       }
@@ -204,19 +209,32 @@ class StatementExecutor {
         bool both_int = a.type() == sql::ValueType::kInt &&
                         b.type() == sql::ValueType::kInt;
         if (both_int) {
-          int64_t x = a.AsInt(), y = b.AsInt();
+          int64_t x = a.AsInt(), y = b.AsInt(), out = 0;
+          bool overflow = false;
           switch (e.bin_op) {
-            case sql::BinaryOp::kAdd: return Value::Int(x + y);
-            case sql::BinaryOp::kSub: return Value::Int(x - y);
-            case sql::BinaryOp::kMul: return Value::Int(x * y);
+            case sql::BinaryOp::kAdd:
+              overflow = __builtin_add_overflow(x, y, &out);
+              break;
+            case sql::BinaryOp::kSub:
+              overflow = __builtin_sub_overflow(x, y, &out);
+              break;
+            case sql::BinaryOp::kMul:
+              overflow = __builtin_mul_overflow(x, y, &out);
+              break;
             case sql::BinaryOp::kDiv:
               if (y == 0) return Status::InvalidArgument("division by zero");
-              return Value::Int(x / y);
+              // INT64_MIN / -1 is the one quotient past INT64_MAX.
+              overflow = y == -1 && x == INT64_MIN;
+              out = overflow ? 0 : x / y;
+              break;
             case sql::BinaryOp::kMod:
               if (y == 0) return Status::InvalidArgument("division by zero");
-              return Value::Int(x % y);
+              out = y == -1 ? 0 : x % y;  // x % -1 traps at INT64_MIN.
+              break;
             default: break;
           }
+          if (overflow) return Status::InvalidArgument("integer out of range");
+          return Value::Int(out);
         }
         double x = a.NumericValue(), y = b.NumericValue();
         switch (e.bin_op) {
@@ -1507,6 +1525,18 @@ int64_t Rdbms::ImageCacheBytes() const {
     }
   }
   return bytes;
+}
+
+int64_t Rdbms::PkIndexKeys() const {
+  int64_t keys = 0;
+  for (const auto& [db_name, database] : databases_) {
+    (void)db_name;
+    for (const auto& [tname, table] : database.tables) {
+      (void)tname;
+      keys += static_cast<int64_t>(table->pk_index_keys());
+    }
+  }
+  return keys;
 }
 
 Status Rdbms::Restore(const BackupImage& image) {

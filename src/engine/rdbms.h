@@ -219,6 +219,10 @@ class Rdbms {
   /// records (replica.<id>.image_bytes gauge).
   int64_t ImageCacheBytes() const;
 
+  /// Distinct keys across the tables' primary-key indexes
+  /// (replica.<id>.pk_index_keys gauge).
+  int64_t PkIndexKeys() const;
+
   /// Replaces this engine's entire contents with the image (replica
   /// cloning / restore). Sessions must be closed first.
   Status Restore(const BackupImage& image);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
 #include "engine/image_codec.h"
 
 namespace replidb::engine {
@@ -73,6 +74,75 @@ int VersionedTable::NewestActive(const Chain& chain) const {
                                 : static_cast<int>(chain.versions.size()) - 1;
 }
 
+void VersionedTable::RowIdSet::Insert(RowId rid) {
+  if (many_.empty()) {
+    if (one_ == 0 || one_ == rid) {
+      one_ = rid;
+      return;
+    }
+    many_ = {std::min(one_, rid), std::max(one_, rid)};
+    one_ = 0;
+    return;
+  }
+  auto it = std::lower_bound(many_.begin(), many_.end(), rid);
+  if (it == many_.end() || *it != rid) many_.insert(it, rid);
+}
+
+void VersionedTable::RowIdSet::Erase(RowId rid) {
+  if (many_.empty()) {
+    if (one_ == rid) one_ = 0;
+    return;
+  }
+  auto it = std::lower_bound(many_.begin(), many_.end(), rid);
+  if (it != many_.end() && *it == rid) many_.erase(it);
+  if (many_.size() == 1) {
+    one_ = many_[0];
+    std::vector<RowId>().swap(many_);
+  }
+}
+
+const VersionedTable::Chain& VersionedTable::IndexedChain(RowId rid) const {
+  auto it = rows_.find(rid);
+  REPLIDB_CHECK(it != rows_.end(), "primary-key index names a missing row");
+  return it->second;
+}
+
+void VersionedTable::Unindex(const sql::Value& key, RowId rid) {
+  auto it = pk_index_.find(key);
+  if (it == pk_index_.end()) return;
+  it->second.Erase(rid);
+  if (it->second.empty()) pk_index_.erase(it);
+}
+
+template <typename Dead>
+void VersionedTable::EraseVersions(HashMap<RowId, Chain>::iterator rit,
+                                   Dead dead) {
+  std::vector<Version>& versions = rit->second.versions;
+  // Survivors move to the front, keeping their order; the dead collect
+  // behind them.
+  size_t kept = 0;
+  for (size_t i = 0; i < versions.size(); ++i) {
+    if (dead(versions[i])) continue;
+    if (i != kept) std::swap(versions[kept], versions[i]);
+    ++kept;
+  }
+  if (kept == versions.size()) return;
+  if (schema_.primary_key_index >= 0) {
+    size_t pki = static_cast<size_t>(schema_.primary_key_index);
+    for (size_t i = kept; i < versions.size(); ++i) {
+      const sql::Value& key = versions[i].data[pki];
+      bool carried = false;
+      for (size_t j = 0; j < kept && !carried; ++j) {
+        carried = versions[j].data[pki] == key;
+      }
+      if (!carried) Unindex(key, rit->first);
+    }
+  }
+  versions.erase(versions.begin() + static_cast<ptrdiff_t>(kept),
+                 versions.end());
+  if (versions.empty()) rows_.erase(rit);
+}
+
 Status VersionedTable::CheckUnique(const TxnView& txn, const sql::Row& row,
                                    std::optional<RowId> exclude_row) {
   // Columns that must be unique: PK + UNIQUE.
@@ -122,14 +192,23 @@ Status VersionedTable::CheckUnique(const TxnView& txn, const sql::Row& row,
       auto iit = pk_index_.find(candidate);
       if (iit == pk_index_.end()) continue;
       for (RowId rid : iit->second) {
-        auto rit = rows_.find(rid);
-        if (rit == rows_.end()) continue;  // Stale index entry.
-        REPLIDB_RETURN_NOT_OK(check_chain(rid, rit->second));
+        REPLIDB_RETURN_NOT_OK(check_chain(rid, IndexedChain(rid)));
       }
     } else {
+      // The clash of the lowest RowId wins, as a walk in RowId order would
+      // find it.
+      Status first;
+      RowId first_rid = 0;
+      // replicheck:allow(unordered-iter) keeps the lowest RowId's clash; no order escapes
       for (const auto& [rid, chain] : rows_) {
-        REPLIDB_RETURN_NOT_OK(check_chain(rid, chain));
+        if (first_rid != 0 && rid > first_rid) continue;
+        Status st = check_chain(rid, chain);
+        if (!st.ok()) {
+          first = std::move(st);
+          first_rid = rid;
+        }
       }
+      REPLIDB_RETURN_NOT_OK(first);
     }
   }
   return Status::OK();
@@ -164,7 +243,7 @@ Result<RowId> VersionedTable::Insert(const TxnView& txn, sql::Row row,
 
   RowId rid = next_row_id_++;
   if (schema_.primary_key_index >= 0) {
-    pk_index_[row[schema_.primary_key_index]].insert(rid);
+    pk_index_[row[schema_.primary_key_index]].Insert(rid);
   }
   Version v;
   v.data = std::move(row);
@@ -227,15 +306,24 @@ Status VersionedTable::Update(const TxnView& txn, RowId row_id,
     }
   }
 
+  // If this txn already created the visible version, rewrite in place.
+  bool in_place = cur.creator == txn.id && cur.created == 0;
   if (schema_.primary_key_index >= 0) {
     int pki = schema_.primary_key_index;
     if (cur.data[pki].Compare(new_row[pki]) != 0) {
-      pk_index_[new_row[pki]].insert(row_id);  // Old entry stays, tolerated.
+      pk_index_[new_row[pki]].Insert(row_id);
+      // A rewrite drops the old key from the chain unless an older
+      // version still carries it.
+      bool carried = !in_place;
+      for (int i = 0; i < static_cast<int>(chain.versions.size()); ++i) {
+        carried = carried || (i != idx && chain.versions[i].data[pki] ==
+                                              cur.data[pki]);
+      }
+      if (!carried) Unindex(cur.data[pki], row_id);
     }
   }
 
-  // If this txn already created the visible version, rewrite in place.
-  if (cur.creator == txn.id && cur.created == 0) {
+  if (in_place) {
     cur.data = std::move(new_row);
   } else {
     cur.deleter = txn.id;
@@ -305,6 +393,7 @@ uint64_t VersionedTable::PhysicalKey(RowId rid) const {
 std::vector<VersionedTable::ScanHit> VersionedTable::PhysicalOrder(
     const TxnView& txn, ExecStats* stats) const {
   std::vector<ScanHit> hits;
+  // replicheck:allow(unordered-iter) sorted below by the unique PhysicalKey
   for (const auto& [rid, chain] : rows_) {
     if (stats) stats->rows_scanned += chain.versions.size();
     int idx = VisibleIndex(txn, chain);
@@ -441,11 +530,10 @@ std::optional<RowId> VersionedTable::LookupPk(const TxnView& txn,
   auto iit = pk_index_.find(pk);
   if (iit == pk_index_.end()) return std::nullopt;
   for (RowId rid : iit->second) {
-    auto rit = rows_.find(rid);
-    if (rit == rows_.end()) continue;  // Stale index entry.
+    const Chain& chain = IndexedChain(rid);
     if (stats) stats->rows_scanned += 1;
-    int idx = VisibleIndex(txn, rit->second);
-    if (idx >= 0 && rit->second.versions[idx].data[pki].Compare(pk) == 0) {
+    int idx = VisibleIndex(txn, chain);
+    if (idx >= 0 && chain.versions[idx].data[pki].Compare(pk) == 0) {
       if (stats) stats->used_index = true;
       return rid;
     }
@@ -490,15 +578,9 @@ void VersionedTable::CommitTxn(TxnId txn, CommitSeq commit_seq,
     // Inline vacuum: committed-dead versions below the horizon are
     // invisible to every live and future snapshot.
     if (gc_horizon > 0) {
-      for (auto vit = versions.begin(); vit != versions.end();) {
-        if (vit->created != 0 && vit->deleted != 0 &&
-            vit->deleted <= gc_horizon) {
-          vit = versions.erase(vit);
-        } else {
-          ++vit;
-        }
-      }
-      if (versions.empty()) rows_.erase(rit);
+      EraseVersions(rit, [gc_horizon](const Version& v) {
+        return v.created != 0 && v.deleted != 0 && v.deleted <= gc_horizon;
+      });
     }
   }
   pending_.erase(it);
@@ -510,24 +592,19 @@ void VersionedTable::RollbackTxn(TxnId txn) {
   for (RowId rid : it->second) {
     auto rit = rows_.find(rid);
     if (rit == rows_.end()) continue;
-    auto& versions = rit->second.versions;
-    for (auto vit = versions.begin(); vit != versions.end();) {
-      if (vit->creator == txn && vit->created == 0) {
-        vit = versions.erase(vit);
-        continue;
-      }
-      if (vit->deleter == txn && vit->deleted == 0) {
-        vit->deleter = 0;  // Undo the delete intent.
-      }
-      ++vit;
+    for (Version& v : rit->second.versions) {
+      if (v.deleter == txn && v.deleted == 0) v.deleter = 0;  // Undo intent.
     }
-    if (versions.empty()) rows_.erase(rit);
+    EraseVersions(rit, [txn](const Version& v) {
+      return v.creator == txn && v.created == 0;
+    });
   }
   pending_.erase(it);
 }
 
 uint64_t VersionedTable::CountVisible(const TxnView& txn) const {
   uint64_t n = 0;
+  // replicheck:allow(unordered-iter) a count; no order escapes
   for (const auto& [rid, chain] : rows_) {
     (void)rid;
     if (VisibleIndex(txn, chain) >= 0) ++n;
@@ -539,6 +616,7 @@ uint64_t VersionedTable::ContentHash(const TxnView& txn) const {
   // Order-insensitive: XOR of row hashes, so physical order differences do
   // not register as divergence — only actual data differences do.
   uint64_t h = 0;
+  // replicheck:allow(unordered-iter) XOR fold; no order escapes
   for (const auto& [rid, chain] : rows_) {
     (void)rid;
     int idx = VisibleIndex(txn, chain);

@@ -1,7 +1,6 @@
 #ifndef REPLIDB_ENGINE_TABLE_H_
 #define REPLIDB_ENGINE_TABLE_H_
 
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -131,6 +130,10 @@ class VersionedTable {
   /// ContentHash at a snapshot of the latest commit (audit subsystem).
   uint64_t digest() const { return digest_; }
 
+  /// Distinct keys in the primary-key index: the keys some version of some
+  /// row still carries (memory census).
+  size_t pk_index_keys() const { return pk_index_.size(); }
+
  private:
   struct Version {
     sql::Row data;
@@ -141,6 +144,23 @@ class VersionedTable {
   };
   struct Chain {
     std::vector<Version> versions;  ///< Oldest first.
+  };
+  /// The rows one primary-key value indexes, in ascending RowId order.
+  /// Nearly every key has exactly one, which is held inline; RowIds start
+  /// at 1, so 0 marks an empty slot.
+  class RowIdSet {
+   public:
+    const RowId* begin() const { return many_.empty() ? &one_ : many_.data(); }
+    const RowId* end() const {
+      return many_.empty() ? &one_ + (one_ != 0) : many_.data() + many_.size();
+    }
+    bool empty() const { return one_ == 0 && many_.empty(); }
+    void Insert(RowId rid);
+    void Erase(RowId rid);
+
+   private:
+    RowId one_ = 0;             ///< The only row, while many_ is empty.
+    std::vector<RowId> many_;   ///< Two or more rows, ascending.
   };
   /// One visible row and its physical-order sort key.
   struct ScanHit {
@@ -178,12 +198,24 @@ class VersionedTable {
   Status CheckUnique(const TxnView& txn, const sql::Row& row,
                      std::optional<RowId> exclude_row);
 
+  /// Removes the versions of chain `rit` that `dead` selects, unindexes the
+  /// keys no remaining version carries, and erases a chain left empty.
+  template <typename Dead>
+  void EraseVersions(HashMap<RowId, Chain>::iterator rit, Dead dead);
+  /// Drops `rid` from `key`'s index entry, and the key with its last row.
+  void Unindex(const sql::Value& key, RowId rid);
+  /// The chain of a row the index names. The index is exact, so a missing
+  /// chain is a bug: it aborts.
+  const Chain& IndexedChain(RowId rid) const;
+
   TableSchema schema_;
   uint64_t physical_seed_;
-  std::map<RowId, Chain> rows_;
-  /// PK value -> candidate chains. Entries may be stale (old PK values,
-  /// rolled-back inserts); lookups verify against the chain.
-  std::map<sql::Value, std::set<RowId>> pk_index_;
+  HashMap<RowId, Chain> rows_;
+  /// PK value -> every row with a version that carries it (Compare
+  /// equality, so INT 5, DOUBLE 5.0 share a key). Exact: an entry goes when
+  /// the last version carrying its key leaves the chain. Lookups still
+  /// check the visible version, which may carry another key.
+  HashMap<sql::Value, RowIdSet> pk_index_;
   RowId next_row_id_ = 1;
   int64_t auto_increment_ = 1;
   /// Running XOR fold over committed live rows; see digest().

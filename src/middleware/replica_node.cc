@@ -116,6 +116,8 @@ ReplicaNode::ReplicaNode(sim::Simulator* sim, net::Network* network,
       registry.GetGauge("replica." + std::to_string(node) + ".sched_keys");
   image_bytes_gauge_ =
       registry.GetGauge("replica." + std::to_string(node) + ".image_bytes");
+  pk_index_keys_gauge_ =
+      registry.GetGauge("replica." + std::to_string(node) + ".pk_index_keys");
 
   dispatcher_->On(kMsgExec, [this](const net::Message& m) { HandleExec(m); });
   dispatcher_->On(kMsgFinish, [this](const net::Message& m) { HandleFinish(m); });
@@ -962,6 +964,7 @@ void ReplicaNode::DurableAppend(const ReplicationEntry& entry) {
 
 void ReplicaNode::MaybeCloseBoundary() {
   image_bytes_gauge_->Set(engine_->ImageCacheBytes());
+  pk_index_keys_gauge_->Set(engine_->PkIndexKeys());
   if (options_.binlog.checkpoint_every == 0) return;
   if (entries_since_boundary_ < options_.binlog.checkpoint_every) return;
   CloseBoundary();

@@ -249,8 +249,8 @@ class ReplicaNode {
   /// of its engine apply) and folds it into the writeset table. Duplicate
   /// versions are ignored.
   void DurableAppend(const ReplicationEntry& entry);
-  /// Publishes replica.<id>.image_bytes, and closes a log boundary when
-  /// checkpoint_every entries accumulated.
+  /// Publishes replica.<id>.image_bytes and .pk_index_keys, and closes a
+  /// log boundary when checkpoint_every entries accumulated.
   void MaybeCloseBoundary();
   /// Log boundary: a durable replica captures engine digests + image into
   /// a checkpoint record; every replica rotates the writeset table and
@@ -366,6 +366,7 @@ class ReplicaNode {
   obs::Gauge* lag_ms_gauge_ = nullptr;   ///< replica.<id>.lag_ms.
   obs::Gauge* sched_keys_gauge_ = nullptr;  ///< replica.<id>.sched_keys.
   obs::Gauge* image_bytes_gauge_ = nullptr;  ///< replica.<id>.image_bytes.
+  obs::Gauge* pk_index_keys_gauge_ = nullptr;  ///< replica.<id>.pk_index_keys.
 };
 
 }  // namespace replidb::middleware

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <string_view>
 
 namespace replidb::sql {
 
@@ -115,30 +117,61 @@ bool IsNumeric(ValueType t) {
   return t == ValueType::kInt || t == ValueType::kDouble ||
          t == ValueType::kBool;
 }
+
+/// Sort class: NULL, then every number, then strings.
+int Rank(ValueType t) {
+  if (t == ValueType::kNull) return 0;
+  return IsNumeric(t) ? 1 : 2;
+}
+
+template <typename T>
+int Sign(T x, T y) {
+  return x < y ? -1 : (x > y ? 1 : 0);
+}
+
+// 2^63 as a double: the first value above every int64.
+constexpr double kTwo63 = 9223372036854775808.0;
+
+/// Exact comparison of an int64 with a double (NaN above every number).
+/// Going through double would round ints past 2^53 onto their neighbours.
+int CompareIntDouble(int64_t x, double y) {
+  if (std::isnan(y) || y >= kTwo63) return -1;
+  if (y < -kTwo63) return 1;
+  double t = std::trunc(y);  // In [-2^63, 2^63): converts exactly.
+  int c = Sign(x, static_cast<int64_t>(t));
+  return c != 0 ? c : Sign(t, y);
+}
+
+/// The int value of an INT or BOOL (0 or 1).
+int64_t IntOf(const Value& v) {
+  return v.type() == ValueType::kBool ? (v.AsBool() ? 1 : 0) : v.AsInt();
+}
+
+int CompareDoubles(double x, double y) {
+  bool nx = std::isnan(x), ny = std::isnan(y);
+  if (nx || ny) return Sign(nx, ny);
+  return Sign(x, y);
+}
 }  // namespace
 
 int Value::Compare(const Value& other) const {
   ValueType a = type(), b = other.type();
-  if (a == ValueType::kNull || b == ValueType::kNull) {
-    if (a == b) return 0;
-    return a == ValueType::kNull ? -1 : 1;
+  if (a == ValueType::kInt && b == ValueType::kInt) {
+    return Sign(AsInt(), other.AsInt());
   }
-  if (IsNumeric(a) && IsNumeric(b)) {
-    if (a == ValueType::kInt && b == ValueType::kInt) {
-      int64_t x = AsInt(), y = other.AsInt();
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    double x = NumericValue(), y = other.NumericValue();
-    return x < y ? -1 : (x > y ? 1 : 0);
+  if (Rank(a) != Rank(b) || a == ValueType::kNull) {
+    return Sign(Rank(a), Rank(b));
   }
-  if (a == ValueType::kString && b == ValueType::kString) {
-    return AsString().compare(other.AsString()) < 0
-               ? -1
-               : (AsString() == other.AsString() ? 0 : 1);
+  if (a == ValueType::kString) {
+    int c = AsString().compare(other.AsString());
+    return Sign(c, 0);
   }
-  // Cross-type non-numeric: order by type id for a stable total order.
-  int ta = static_cast<int>(a), tb = static_cast<int>(b);
-  return ta < tb ? -1 : (ta > tb ? 1 : 0);
+  // Two numbers. BOOL counts as the int 0 or 1.
+  bool da = a == ValueType::kDouble, db = b == ValueType::kDouble;
+  if (da && db) return CompareDoubles(AsDouble(), other.AsDouble());
+  if (da) return -CompareIntDouble(IntOf(other), AsDouble());
+  if (db) return CompareIntDouble(IntOf(*this), other.AsDouble());
+  return Sign(IntOf(*this), IntOf(other));
 }
 
 uint64_t Value::Hash() const {
@@ -171,6 +204,29 @@ uint64_t Value::Hash() const {
       break;
   }
   return h;
+}
+
+uint64_t Value::KeyHash() const {
+  switch (type()) {
+    case ValueType::kNull:
+      return 0;
+    case ValueType::kInt:
+    case ValueType::kBool:
+      return static_cast<uint64_t>(IntOf(*this));
+    case ValueType::kDouble: {
+      double d = AsDouble();
+      if (std::isnan(d)) return 0x7ff8000000000000ULL;
+      if (d >= -kTwo63 && d < kTwo63 && std::trunc(d) == d) {
+        return static_cast<uint64_t>(static_cast<int64_t>(d));
+      }
+      uint64_t bits;
+      std::memcpy(&bits, &d, sizeof(bits));
+      return bits;
+    }
+    case ValueType::kString:
+      return std::hash<std::string_view>{}(AsString());
+  }
+  return 0;
 }
 
 uint64_t HashRow(const Row& row) {

@@ -2,6 +2,7 @@
 #define REPLIDB_SQL_VALUE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -15,8 +16,10 @@ const char* ValueTypeName(ValueType t);
 
 /// \brief A typed SQL value (NULL, INT, DOUBLE, STRING, BOOL).
 ///
-/// Values are small, copyable, and totally ordered (NULL sorts first,
-/// cross-type numeric comparisons promote int to double).
+/// Values are small, copyable, and totally ordered: NULL sorts first, then
+/// every number (INT, DOUBLE and BOOL as 0/1, compared exactly by value,
+/// NaN equal to NaN and above every other number, as in PostgreSQL), then
+/// strings.
 class Value {
  public:
   /// NULL value.
@@ -50,14 +53,23 @@ class Value {
   std::string ToString() const;
 
   /// Total order used by ORDER BY and index keys.
-  /// Returns <0, 0, >0. NULL < everything; numerics compare numerically.
+  /// Returns <0, 0, >0. NULL < numbers < strings; numbers compare by exact
+  /// value whatever their types, and NaN sorts above every other number.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
-  /// Stable 64-bit hash (used for replica content checksums).
+  /// Stable 64-bit hash (used for replica content checksums). Typed: INT 5
+  /// and DOUBLE 5.0 hash apart, so use KeyHash to look values up.
   uint64_t Hash() const;
+
+  /// Hash consistent with Compare: values that compare equal hash equal.
+  /// Integral numbers hash by their int64 value (BOOL as 0/1), other
+  /// doubles by their bits (every NaN alike), strings by their bytes.
+  /// Feeds only in-memory indexes; never persisted or compared across
+  /// builds.
+  uint64_t KeyHash() const;
 
  private:
   explicit Value(int64_t i) : v_(i) {}
@@ -75,5 +87,14 @@ using Row = std::vector<Value>;
 uint64_t HashRow(const Row& row);
 
 }  // namespace replidb::sql
+
+/// Hashes by KeyHash, so equality (Compare == 0) and the hash agree and a
+/// Value can key an unordered container (e.g. common::HashMap).
+template <>
+struct std::hash<replidb::sql::Value> {
+  size_t operator()(const replidb::sql::Value& v) const {
+    return static_cast<size_t>(v.KeyHash());
+  }
+};
 
 #endif  // REPLIDB_SQL_VALUE_H_

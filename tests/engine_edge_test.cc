@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "engine/rdbms.h"
 
@@ -106,6 +108,49 @@ TEST_F(EngineEdgeTest, MultiKeyOrderBy) {
   EXPECT_EQ(r.rows[1][0].AsInt(), 3);
   EXPECT_EQ(r.rows[2][0].AsInt(), 2);
   EXPECT_EQ(r.rows[3][0].AsInt(), 1);
+}
+
+// NaN equals only NaN: as a DOUBLE key it matches no number, a second NaN
+// is a duplicate, and ORDER BY puts it above every number.
+TEST_F(EngineEdgeTest, NanKeyMatchesOnlyNanAndSortsAboveNumbers) {
+  const std::string nan = "1e308 * 10 - 1e308 * 10";
+  Must("CREATE TABLE n (id DOUBLE PRIMARY KEY, v INT)");
+  Must("INSERT INTO n VALUES (" + nan + ", 1)");
+  Must("INSERT INTO n VALUES (5, 2), (-1e308 * 10, 3)");
+  EXPECT_TRUE(Must("SELECT v FROM n WHERE id = 7").rows.empty());
+  ASSERT_EQ(Must("SELECT v FROM n WHERE id = 5").rows.size(), 1u);
+  ExecResult by_nan = Must("SELECT v FROM n WHERE id = " + nan);
+  ASSERT_EQ(by_nan.rows.size(), 1u);
+  EXPECT_EQ(by_nan.rows[0][0].AsInt(), 1);
+  EXPECT_EQ(Exec("INSERT INTO n VALUES (" + nan + ", 4)").status.code(),
+            StatusCode::kConstraintViolation);
+  ExecResult asc = Must("SELECT v FROM n ORDER BY id");
+  ExecResult desc = Must("SELECT v FROM n ORDER BY id DESC");
+  ASSERT_EQ(asc.rows.size(), 3u);
+  ASSERT_EQ(desc.rows.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(asc.rows[i][0].AsInt(), 3 - i);
+    EXPECT_EQ(desc.rows[i][0].AsInt(), i + 1);
+  }
+}
+
+// Integer arithmetic that leaves int64 is a statement error, not a trap
+// (INT64_MIN / -1 and % -1 raise SIGFPE on x86) or a wrapped value.
+TEST_F(EngineEdgeTest, IntegerOverflowIsAStatementError) {
+  Must("INSERT INTO t VALUES (9, -9223372036854775807 - 1, 0, 'min')");
+  ExecResult ok = Must("SELECT a % -1, a % 7, a + 1, a / 1 FROM t WHERE id = 9");
+  EXPECT_EQ(ok.rows[0][0].AsInt(), 0);
+  EXPECT_EQ(ok.rows[0][1].AsInt(), -1);
+  EXPECT_EQ(ok.rows[0][2].AsInt(), INT64_MIN + 1);
+  EXPECT_EQ(ok.rows[0][3].AsInt(), INT64_MIN);
+  for (const char* expr : {"a / -1", "a + a", "a - 1", "a * 2", "-a",
+                           "9223372036854775807 + 1"}) {
+    ExecResult r = Exec(std::string("SELECT ") + expr + " FROM t WHERE id = 9");
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << expr;
+    EXPECT_EQ(r.status.message(), "integer out of range") << expr;
+  }
+  EXPECT_FALSE(Exec("UPDATE t SET a = a - 1 WHERE id = 9").ok());
+  EXPECT_EQ(Must("SELECT a FROM t WHERE id = 9").rows[0][0].AsInt(), INT64_MIN);
 }
 
 TEST_F(EngineEdgeTest, UpdateMatchingNothingAffectsZero) {

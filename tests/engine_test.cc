@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hashing.h"
 #include "common/rng.h"
 #include "engine/image_codec.h"
 #include "engine/rdbms.h"
@@ -929,6 +930,269 @@ TEST_F(EngineTest, ImageChangeRecordNeverOutgrowsTheTable) {
   ASSERT_TRUE(img.ok());
   ExpectImagesMatchScans(db_.get(), img.value(), "rebuilt");
   EXPECT_EQ(db_->ImageCacheBytes(), kept);
+}
+
+// --- Primary-key index --------------------------------------------------------
+
+// The index holds only keys some version still carries. A key leaves with
+// the last version carrying it, whether vacuum, rollback or statement undo
+// removes that version, so cycles of inserts, PK updates and deletes come
+// back to the live key count.
+TEST_F(EngineTest, PkIndexShrinksBackToTheLiveKeys) {
+  MustExec("CREATE TABLE k (id INT PRIMARY KEY, v INT)");
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    for (int i = 0; i < 50; ++i) {
+      MustExec("INSERT INTO k VALUES (" + std::to_string(i) + ", 0)");
+    }
+    EXPECT_EQ(db_->PkIndexKeys(), 50);
+    MustExec("UPDATE k SET id = id + 1000 WHERE id < 10");
+    EXPECT_EQ(db_->PkIndexKeys(), 50) << "vacuum drops the old keys";
+    EXPECT_FALSE(Exec("INSERT INTO k VALUES (7000, 0), (7000, 0)").ok());
+    EXPECT_EQ(db_->PkIndexKeys(), 50) << "an undone insert";
+    MustExec("BEGIN");
+    MustExec("INSERT INTO k VALUES (5000, 0)");
+    MustExec("UPDATE k SET id = 8000 WHERE id = 30");
+    MustExec("UPDATE k SET id = 8001 WHERE id = 8000");
+    EXPECT_EQ(db_->PkIndexKeys(), 52) << "30 stays under the old version";
+    EXPECT_FALSE(Exec("UPDATE k SET id = 9000 WHERE id >= 40").ok());
+    EXPECT_EQ(db_->PkIndexKeys(), 52) << "statement undo rewrites 9000 back";
+    MustExec("ROLLBACK");
+    EXPECT_EQ(db_->PkIndexKeys(), 50) << "rollback";
+    MustExec("DELETE FROM k");
+    EXPECT_EQ(db_->PkIndexKeys(), 0);
+  }
+}
+
+// A UNIQUE clash with several rows reports the lowest RowId's: here the
+// committed row a transaction is deleting, not the rows that transaction
+// inserted after it, which a walk in hash order would mostly meet first.
+TEST(PkIndexTest, UniqueClashReportsTheLowestRowIdFirst) {
+  const uint64_t saved_seed = HashSeed();
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SetHashSeed(seed);
+    Rdbms db(RdbmsOptions{});
+    SessionId a = db.Connect().value();
+    SessionId b = db.Connect().value();
+    ASSERT_TRUE(
+        db.Execute(a, "CREATE TABLE c (id INT PRIMARY KEY, u INT UNIQUE)").ok());
+    ASSERT_TRUE(db.Execute(a, "INSERT INTO c VALUES (0, 7)").ok());
+    ASSERT_TRUE(db.Execute(a, "BEGIN").ok());
+    ASSERT_TRUE(db.Execute(a, "DELETE FROM c WHERE id = 0").ok());
+    for (int i = 1; i <= 20; ++i) {
+      std::string id = std::to_string(i);
+      ASSERT_TRUE(db.Execute(a, "INSERT INTO c VALUES (" + id + ", 7)").ok());
+      ASSERT_TRUE(db.Execute(a, "DELETE FROM c WHERE id = " + id).ok());
+    }
+    ExecResult r = db.Execute(b, "INSERT INTO c VALUES (100, 7)");
+    EXPECT_EQ(r.status.code(), StatusCode::kDeadlock) << "hash seed " << seed;
+    EXPECT_EQ(r.status.message(), "conflicting row being deleted")
+        << "hash seed " << seed;
+  }
+  SetHashSeed(saved_seed);
+}
+
+/// A row with its value types, so INT 5 and DOUBLE 5.0 read apart.
+std::string ShowRow(const sql::Row& row) {
+  std::string out = "(";
+  for (const Value& v : row) {
+    out += std::string(sql::ValueTypeName(v.type())) + " " +
+           v.ToSqlLiteral() + ",";
+  }
+  return out + ")";
+}
+
+std::string ShowRows(const ExecResult& r) {
+  std::string out = StatusCodeName(r.status.code());
+  for (const sql::Row& row : r.rows) out += " " + ShowRow(row);
+  return out;
+}
+
+// Seeded steps of inserts, deletes, re-inserts, primary-key and UNIQUE
+// updates, statement undo, rollbacks, open snapshot transactions and
+// writeset applies, over an INT and a DOUBLE primary key, with keys
+// written and looked up as INT 5, DOUBLE 5.0 and TRUE/FALSE for 1/0. Two
+// engines run every step with the same physical seed and different hash
+// seeds. After each step a point select (the index path) must return what
+// a full scan evaluating the same predicate returns, in every session, and
+// the engines must agree on every outcome: no hash order may reach a
+// result or an error.
+TEST(PkIndexTest, PointAccessMatchesFullScans) {
+  constexpr int kSessions = 3;
+  constexpr int64_t kKeys = 24;
+  const uint64_t saved_seed = HashSeed();
+  struct Engine {
+    std::unique_ptr<Rdbms> db;
+    std::vector<SessionId> sessions;
+  };
+  std::vector<Engine> engines(2);
+  for (int e = 0; e < 2; ++e) {
+    SetHashSeed(0x51ed + 977 * static_cast<uint64_t>(e));
+    RdbmsOptions opts;
+    opts.physical_seed = 5;
+    opts.dialect.abort_txn_on_error = false;  // Undo keeps the txn open.
+    engines[e].db = std::make_unique<Rdbms>(opts);
+    for (int i = 0; i < kSessions; ++i) {
+      SessionId s = engines[e].db->Connect().value();
+      if (i > 0) {
+        ASSERT_TRUE(
+            engines[e].db->SetIsolation(s, IsolationLevel::kSnapshot).ok());
+      }
+      engines[e].sessions.push_back(s);
+    }
+    for (const char* ddl :
+         {"CREATE TABLE t (id INT PRIMARY KEY, u INT UNIQUE, v INT)",
+          "CREATE TABLE d (id DOUBLE PRIMARY KEY, u INT UNIQUE, v INT)"}) {
+      ASSERT_TRUE(engines[e].db->Execute(engines[e].sessions[0], ddl).ok());
+    }
+  }
+  SetHashSeed(saved_seed);
+
+  Rng rng(20261018);
+  const std::vector<std::string> tables = {"t", "d"};
+  std::vector<bool> in_txn(kSessions, false);
+  auto lit = [&](int64_t k) {
+    switch (rng.Uniform(k <= 1 ? 3 : 2)) {
+      case 0:
+        return std::to_string(k);
+      case 1:
+        return std::to_string(k) + ".0";
+      default:
+        return std::string(k == 1 ? "TRUE" : "FALSE");
+    }
+  };
+  auto key = [&] { return rng.UniformRange(0, kKeys - 1); };
+  auto uniq = [&] {
+    return rng.Chance(0.2) ? std::string("NULL")
+                           : std::to_string(rng.UniformRange(0, 7));
+  };
+  auto row = [&](int64_t k) {
+    return "(" + lit(k) + ", " + uniq() + ", " +
+           std::to_string(rng.UniformRange(-99, 99)) + ")";
+  };
+  // Runs one statement on both engines; they must agree.
+  auto both = [&](int si, const std::string& sql) {
+    ExecResult a = engines[0].db->Execute(engines[0].sessions[si], sql);
+    ExecResult b = engines[1].db->Execute(engines[1].sessions[si], sql);
+    EXPECT_EQ(a.status.ToString(), b.status.ToString()) << sql;
+    EXPECT_EQ(a.affected, b.affected) << sql;
+    EXPECT_EQ(ShowRows(a), ShowRows(b)) << sql;
+    return a;
+  };
+  auto check_key = [&](int si, const std::string& table, int64_t k) {
+    std::string l = lit(k);
+    for (Engine& e : engines) {
+      SessionId s = e.sessions[si];
+      ExecResult point =
+          e.db->Execute(s, "SELECT * FROM " + table + " WHERE id = " + l);
+      ExecResult scan = e.db->Execute(
+          s, "SELECT * FROM " + table + " WHERE NOT (id <> " + l + ")");
+      std::string where = table + " id = " + l + ", session " +
+                          std::to_string(si) + ": " + ShowRows(scan);
+      ASSERT_TRUE(point.ok() && scan.ok()) << where;
+      // A snapshot can see two rows with one key: its own insert, and the
+      // row a later commit deleted. The point path returns one of them.
+      ASSERT_EQ(point.rows.size(), std::min<size_t>(scan.rows.size(), 1))
+          << where;
+      if (point.rows.empty()) continue;
+      EXPECT_TRUE(point.stats.used_index) << where;
+      bool found = false;
+      for (const sql::Row& r : scan.rows) {
+        found = found || ShowRow(r) == ShowRow(point.rows[0]);
+      }
+      EXPECT_TRUE(found) << where << " lacks " << ShowRow(point.rows[0]);
+    }
+    both(si, "SELECT * FROM " + table + " WHERE id = " + l);
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    int si = static_cast<int>(rng.Uniform(kSessions));
+    const std::string& tb = tables[rng.Uniform(tables.size())];
+    int64_t k = key();
+    switch (rng.Uniform(14)) {
+      case 0:
+      case 1:
+        both(si, "INSERT INTO " + tb + " VALUES " + row(k));
+        break;
+      case 2:  // Statement undo when the second row clashes.
+        both(si, "INSERT INTO " + tb + " VALUES " + row(k) + ", " + row(key()));
+        break;
+      case 3:
+        both(si, "UPDATE " + tb + " SET v = v + 1 WHERE id = " + lit(k));
+        break;
+      case 4:
+        both(si, "UPDATE " + tb + " SET id = " + lit(key()) +
+                     " WHERE id = " + lit(k));
+        break;
+      case 5:
+        both(si, "UPDATE " + tb + " SET u = " + uniq() + " WHERE id = " +
+                     lit(k));
+        break;
+      case 6:  // Several rows take one key: undone unless one matches.
+        both(si, "UPDATE " + tb + " SET id = " + lit(k) + " WHERE id >= " +
+                     std::to_string(k + kKeys / 2));
+        break;
+      case 7:
+      case 8:
+        both(si, "DELETE FROM " + tb + " WHERE id = " + lit(k));
+        break;
+      case 9:
+      case 10:
+      case 11:
+        if (!in_txn[si]) {
+          both(si, "BEGIN");
+          in_txn[si] = true;
+        } else {
+          both(si, rng.Chance(0.4) ? "ROLLBACK" : "COMMIT");
+          in_txn[si] = false;
+        }
+        break;
+      default: {
+        Writeset ws;
+        for (int n = 0; n < 3; ++n) {
+          WriteOp op;
+          op.kind = static_cast<WriteOpKind>(rng.Uniform(3));
+          op.database = "main";
+          op.table = tables[rng.Uniform(tables.size())];
+          int64_t id = key();
+          switch (rng.Uniform(3)) {
+            case 0:
+              op.primary_key = Value::Int(id);
+              break;
+            case 1:
+              op.primary_key = Value::Double(static_cast<double>(id));
+              break;
+            default:
+              op.primary_key = id <= 1 ? Value::Bool(id == 1) : Value::Int(id);
+              break;
+          }
+          if (op.kind != WriteOpKind::kDelete) {
+            op.after = {op.primary_key, Value::Null(),
+                        Value::Int(rng.UniformRange(-99, 99))};
+          }
+          ws.ops.push_back(std::move(op));
+        }
+        Result<CommitSeq> a = engines[0].db->ApplyWriteset(ws);
+        Result<CommitSeq> b = engines[1].db->ApplyWriteset(ws);
+        EXPECT_EQ(a.status().ToString(), b.status().ToString());
+        break;
+      }
+    }
+    for (int s = 0; s < kSessions; ++s) {
+      for (int n = 0; n < 2; ++n) {
+        check_key(s, tables[rng.Uniform(tables.size())], key());
+      }
+    }
+    if (step % 250 == 249) {
+      for (int s = 0; s < kSessions; ++s) {
+        for (const std::string& t : tables) {
+          for (int64_t k2 = 0; k2 < kKeys; ++k2) check_key(s, t, k2);
+        }
+      }
+    }
+    if (HasFailure()) return;
+  }
+  EXPECT_EQ(engines[0].db->PkIndexKeys(), engines[1].db->PkIndexKeys());
+  EXPECT_EQ(engines[0].db->ContentHash(), engines[1].db->ContentHash());
 }
 
 // --- Faults ----------------------------------------------------------------------

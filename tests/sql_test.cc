@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "sql/ast.h"
@@ -35,6 +38,73 @@ TEST(ValueTest, CompareTotalOrder) {
   EXPECT_GT(Value::Double(2.5).Compare(Value::Int(2)), 0);
   EXPECT_LT(Value::String("a").Compare(Value::String("b")), 0);
   EXPECT_EQ(Value::String("a").Compare(Value::String("a")), 0);
+}
+
+// NaN equals NaN and sorts above every other number (PostgreSQL's order);
+// INT and DOUBLE compare by exact value, so the order stays transitive
+// past 2^53, where a conversion to double would round.
+TEST(ValueTest, CompareIsExactAndTotalOnNumbers) {
+  const Value nan = Value::Double(std::nan(""));
+  EXPECT_EQ(nan.Compare(Value::Double(-std::nan(""))), 0);
+  EXPECT_GT(nan.Compare(Value::Double(INFINITY)), 0);
+  EXPECT_GT(nan.Compare(Value::Int(INT64_MAX)), 0);
+  EXPECT_LT(Value::Int(7).Compare(nan), 0);
+  EXPECT_LT(Value::Bool(true).Compare(nan), 0);
+  EXPECT_GT(nan.Compare(Value::Null()), 0);
+  EXPECT_LT(nan.Compare(Value::String("")), 0);
+
+  const int64_t p53 = int64_t{1} << 53;
+  const Value d53 = Value::Double(static_cast<double>(p53));
+  EXPECT_EQ(Value::Int(p53).Compare(d53), 0);
+  EXPECT_GT(Value::Int(p53 + 1).Compare(d53), 0);
+  EXPECT_LT(d53.Compare(Value::Int(p53 + 1)), 0);
+  EXPECT_LT(Value::Int(INT64_MAX).Compare(Value::Double(9223372036854775808.0)),
+            0);
+  EXPECT_EQ(
+      Value::Int(INT64_MIN).Compare(Value::Double(-9223372036854775808.0)), 0);
+  EXPECT_LT(Value::Double(-2.5).Compare(Value::Int(-2)), 0);
+  EXPECT_EQ(Value::Bool(true).Compare(Value::Double(1.0)), 0);
+  EXPECT_EQ(Value::Double(-0.0).Compare(Value::Int(0)), 0);
+}
+
+// A sample of every type and the edge cases of each: Compare must be a
+// total order over it, and KeyHash must agree with its equality.
+TEST(ValueTest, KeyHashAgreesWithCompareOverATotalOrder) {
+  const int64_t p53 = int64_t{1} << 53;
+  const std::vector<Value> vals = {
+      Value::Null(), Value::Int(0), Value::Double(0.0), Value::Double(-0.0),
+      Value::Bool(false), Value::Int(1), Value::Bool(true),
+      Value::Double(1.0), Value::Int(5), Value::Double(5.0),
+      Value::Double(5.5), Value::Int(-1), Value::Double(-1.0),
+      Value::Double(-1.5), Value::Double(std::nan("")),
+      Value::Double(-std::nan("")), Value::Double(INFINITY),
+      Value::Double(-INFINITY), Value::Int(INT64_MIN),
+      Value::Double(-9223372036854775808.0), Value::Int(INT64_MAX),
+      Value::Double(9223372036854775808.0), Value::Double(1e300),
+      Value::Int(p53), Value::Int(p53 + 1),
+      Value::Double(static_cast<double>(p53)), Value::String(""),
+      Value::String("5"), Value::String("a"), Value::String("b")};
+  auto sign = [](int c) { return (c > 0) - (c < 0); };
+  for (const Value& a : vals) {
+    for (const Value& b : vals) {
+      int ab = sign(a.Compare(b));
+      EXPECT_EQ(ab, -sign(b.Compare(a))) << a.ToString() << " vs "
+                                         << b.ToString();
+      if (ab == 0) {
+        EXPECT_EQ(a.KeyHash(), b.KeyHash()) << a.ToString() << " = "
+                                            << b.ToString();
+      }
+      for (const Value& c : vals) {
+        if (ab <= 0 && b.Compare(c) <= 0) {
+          EXPECT_LE(a.Compare(c), 0) << a.ToString() << " <= "
+                                     << b.ToString() << " <= "
+                                     << c.ToString();
+        }
+      }
+    }
+  }
+  EXPECT_NE(Value::Int(5).KeyHash(), Value::Double(5.5).KeyHash());
+  EXPECT_NE(Value::Int(p53 + 1).KeyHash(), Value::Int(p53).KeyHash());
 }
 
 TEST(ValueTest, Truthy) {
