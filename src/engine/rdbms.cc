@@ -590,13 +590,8 @@ class StatementExecutor {
           row[pki] = Value::Int(table->NextAutoIncrement());
         }
       }
-      Result<RowId> rid = table->Insert(view_, row, &r.stats);
-      if (!rid.ok()) {
-        r.status = rid.status();
-        break;
-      }
-      inserted.push_back(rid.value());
-      ++r.affected;
+      // Captured before the insert, so the row can move into the table; a
+      // failed insert undoes the statement's captures anyway.
       if (schema.primary_key_index >= 0) {
         const Value& pk = row[static_cast<size_t>(schema.primary_key_index)];
         CaptureWrite(table, s.table, WriteOpKind::kInsert, pk, row);
@@ -604,6 +599,13 @@ class StatementExecutor {
       } else {
         CaptureWrite(table, s.table, WriteOpKind::kInsert, Value::Null(), row);
       }
+      Result<RowId> rid = table->Insert(view_, std::move(row), &r.stats);
+      if (!rid.ok()) {
+        r.status = rid.status();
+        break;
+      }
+      inserted.push_back(rid.value());
+      ++r.affected;
     }
     if (!r.ok()) {
       // Undo this statement's inserts (auto-increment draws are NOT undone
@@ -943,13 +945,14 @@ class StatementExecutor {
   }
 
   void QueueTrigger(WriteOpKind kind, const sql::TableRef& ref,
-                    const Value& pk, Row after) {
+                    const Value& pk, const Row& after) {
+    if (db_->triggers_.empty()) return;
     WriteOp op;
     op.kind = kind;
     op.database = ref.database.empty() ? session_->database : ref.database;
     op.table = ref.table;
     op.primary_key = pk;
-    op.after = std::move(after);
+    op.after = after;
     pending_trigger_ops_.push_back(std::move(op));
   }
 
@@ -1203,8 +1206,9 @@ Status Rdbms::CommitTxn(Session* session) {
     BinlogEntry entry;
     entry.commit_seq = cs;
     entry.txn = txn.id;
-    if (options_.binlog_statements) entry.statements = txn.statements;
-    if (options_.capture_writesets) entry.writeset = txn.writeset;
+    // The transaction ends here, so its statements and writeset move.
+    if (options_.binlog_statements) entry.statements = std::move(txn.statements);
+    if (options_.capture_writesets) entry.writeset = std::move(txn.writeset);
     entry.session_user = session->user;
     entry.commit_time_micros = options_.clock();
     binlog_.push_back(std::move(entry));

@@ -143,8 +143,14 @@ void VersionedTable::EraseVersions(HashMap<RowId, Chain>::iterator rit,
   if (versions.empty()) rows_.erase(rit);
 }
 
+void VersionedTable::MarkPending(TxnId txn, RowId rid) {
+  std::vector<RowId>& rows = pending_[txn];
+  if (rows.empty() || rows.back() != rid) rows.push_back(rid);
+}
+
 Status VersionedTable::CheckUnique(const TxnView& txn, const sql::Row& row,
-                                   std::optional<RowId> exclude_row) {
+                                   std::optional<RowId> exclude_row,
+                                   const RowIdSet* pk_rows) {
   // Columns that must be unique: PK + UNIQUE.
   for (size_t ci = 0; ci < schema_.columns.size(); ++ci) {
     const sql::ColumnDef& col = schema_.columns[ci];
@@ -189,9 +195,12 @@ Status VersionedTable::CheckUnique(const TxnView& txn, const sql::Row& row,
 
     // The PK column has an index; other UNIQUE columns fall back to a scan.
     if (static_cast<int>(ci) == schema_.primary_key_index) {
-      auto iit = pk_index_.find(candidate);
-      if (iit == pk_index_.end()) continue;
-      for (RowId rid : iit->second) {
+      if (pk_rows == nullptr) {
+        auto iit = pk_index_.find(candidate);
+        if (iit == pk_index_.end()) continue;
+        pk_rows = &iit->second;
+      }
+      for (RowId rid : *pk_rows) {
         REPLIDB_RETURN_NOT_OK(check_chain(rid, IndexedChain(rid)));
       }
     } else {
@@ -231,25 +240,28 @@ Result<RowId> VersionedTable::Insert(const TxnView& txn, sql::Row row,
       row[i] = sql::Value::Double(static_cast<double>(row[i].AsInt()));
     }
   }
-  REPLIDB_RETURN_NOT_OK(CheckUnique(txn, row, std::nullopt));
+  // One probe finds the key's index entry for both the check and the
+  // insert; a failed check drops the entry again if it made it.
+  const int pki = schema_.primary_key_index;
+  RowIdSet* pk_rows = pki >= 0 ? &pk_index_[row[pki]] : nullptr;
+  Status unique = CheckUnique(txn, row, std::nullopt, pk_rows);
+  if (!unique.ok()) {
+    if (pk_rows != nullptr && pk_rows->empty()) pk_index_.erase(row[pki]);
+    return unique;
+  }
 
-  if (schema_.primary_key_index >= 0) {
-    const sql::Value& pk = row[schema_.primary_key_index];
-    if (pk.type() == sql::ValueType::kInt &&
-        schema_.columns[schema_.primary_key_index].auto_increment) {
-      BumpAutoIncrement(pk.AsInt());
-    }
+  if (pki >= 0 && row[pki].type() == sql::ValueType::kInt &&
+      schema_.columns[pki].auto_increment) {
+    BumpAutoIncrement(row[pki].AsInt());
   }
 
   RowId rid = next_row_id_++;
-  if (schema_.primary_key_index >= 0) {
-    pk_index_[row[schema_.primary_key_index]].Insert(rid);
-  }
+  if (pk_rows != nullptr) pk_rows->Insert(rid);
   Version v;
   v.data = std::move(row);
   v.creator = txn.id;
   rows_[rid].versions.push_back(std::move(v));
-  pending_[txn.id].insert(rid);
+  MarkPending(txn.id, rid);
   if (stats) {
     stats->rows_written += 1;
     stats->bytes_processed += 64;
@@ -332,7 +344,7 @@ Status VersionedTable::Update(const TxnView& txn, RowId row_id,
     nv.creator = txn.id;
     chain.versions.push_back(std::move(nv));
   }
-  pending_[txn.id].insert(row_id);
+  MarkPending(txn.id, row_id);
   if (stats) {
     stats->rows_written += 1;
     stats->bytes_processed += 64;
@@ -367,7 +379,7 @@ Status VersionedTable::Delete(const TxnView& txn, RowId row_id,
   // created == deleted (never visible) and rollback removes the version;
   // marking keeps deletes undoable for statement-level atomicity.
   cur.deleter = txn.id;
-  pending_[txn.id].insert(row_id);
+  MarkPending(txn.id, row_id);
   if (stats) stats->rows_written += 1;
   return Status::OK();
 }

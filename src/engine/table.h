@@ -2,7 +2,6 @@
 #define REPLIDB_ENGINE_TABLE_H_
 
 #include <optional>
-#include <set>
 #include <string>
 #include "common/hashing.h"
 #include <vector>
@@ -195,8 +194,13 @@ class VersionedTable {
   /// Newest version that is committed or pending (conflict anchor), or -1.
   int NewestActive(const Chain& chain) const;
 
+  /// Checks `row`'s PK and UNIQUE columns for clashes. `pk_rows` is the
+  /// PK's index entry when the caller has already looked it up.
   Status CheckUnique(const TxnView& txn, const sql::Row& row,
-                     std::optional<RowId> exclude_row);
+                     std::optional<RowId> exclude_row,
+                     const RowIdSet* pk_rows = nullptr);
+  /// Records that `txn` has a pending version on `rid`.
+  void MarkPending(TxnId txn, RowId rid);
 
   /// Removes the versions of chain `rit` that `dead` selects, unindexes the
   /// keys no remaining version carries, and erases a chain left empty.
@@ -220,8 +224,10 @@ class VersionedTable {
   int64_t auto_increment_ = 1;
   /// Running XOR fold over committed live rows; see digest().
   uint64_t digest_ = 0;
-  /// txn -> row ids with pending versions (for commit/rollback).
-  HashMap<TxnId, std::set<RowId>> pending_;
+  /// txn -> row ids with pending versions (for commit/rollback), in the
+  /// order first touched. A row may repeat; stamping, vacuum and rollback
+  /// of a row are idempotent.
+  HashMap<TxnId, std::vector<RowId>> pending_;
 
   // The last image EncodeImage returned, kept between images (a const
   // operation's cache, hence mutable; the engine is single-threaded).
