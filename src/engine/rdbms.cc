@@ -1206,9 +1206,16 @@ Status Rdbms::CommitTxn(Session* session) {
     BinlogEntry entry;
     entry.commit_seq = cs;
     entry.txn = txn.id;
-    // The transaction ends here, so its statements and writeset move.
-    if (options_.binlog_statements) entry.statements = std::move(txn.statements);
-    if (options_.capture_writesets) entry.writeset = std::move(txn.writeset);
+    // The transaction ends here, so its statements and writeset move; the
+    // log keeps them for good, so without the slack their growth left.
+    if (options_.binlog_statements) {
+      entry.statements = std::move(txn.statements);
+      entry.statements.shrink_to_fit();
+    }
+    if (options_.capture_writesets) {
+      entry.writeset = std::move(txn.writeset);
+      entry.writeset.ops.shrink_to_fit();
+    }
     entry.session_user = session->user;
     entry.commit_time_micros = options_.clock();
     binlog_.push_back(std::move(entry));

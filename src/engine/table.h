@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include "common/hashing.h"
 #include <vector>
 
@@ -158,8 +159,8 @@ class VersionedTable {
     void Erase(RowId rid);
 
    private:
-    RowId one_ = 0;             ///< The only row, while many_ is empty.
-    std::vector<RowId> many_;   ///< Two or more rows, ascending.
+    RowId one_ = 0;            ///< The only row, while many_ is empty.
+    std::vector<RowId> many_;  ///< Two or more rows, ascending.
   };
   /// One visible row and its physical-order sort key.
   struct ScanHit {
@@ -214,19 +215,24 @@ class VersionedTable {
 
   TableSchema schema_;
   uint64_t physical_seed_;
+  /// RowId -> version chain. Loops over it must not let hash order
+  /// escape (DESIGN §2, "Engine storage").
   HashMap<RowId, Chain> rows_;
   /// PK value -> every row with a version that carries it (Compare
   /// equality, so INT 5, DOUBLE 5.0 share a key). Exact: an entry goes when
   /// the last version carrying its key leaves the chain. Lookups still
-  /// check the visible version, which may carry another key.
-  HashMap<sql::Value, RowIdSet> pk_index_;
+  /// check the visible version, which may carry another key. Never
+  /// iterated, so no order can escape it (replicheck flags any loop over
+  /// it); it hashes by KeyHash alone, unseeded, which keeps neighbouring
+  /// integer keys in neighbouring buckets for a bulk load in key order.
+  std::unordered_map<sql::Value, RowIdSet> pk_index_;
   RowId next_row_id_ = 1;
   int64_t auto_increment_ = 1;
   /// Running XOR fold over committed live rows; see digest().
   uint64_t digest_ = 0;
   /// txn -> row ids with pending versions (for commit/rollback), in the
-  /// order first touched. A row may repeat; stamping, vacuum and rollback
-  /// of a row are idempotent.
+  /// order touched. A row touched again after another one repeats, which
+  /// is harmless: stamping, vacuum and rollback of a row are idempotent.
   HashMap<TxnId, std::vector<RowId>> pending_;
 
   // The last image EncodeImage returned, kept between images (a const
