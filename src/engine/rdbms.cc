@@ -1206,8 +1206,8 @@ Status Rdbms::CommitTxn(Session* session) {
     BinlogEntry entry;
     entry.commit_seq = cs;
     entry.txn = txn.id;
-    // The transaction ends here, so its statements and writeset move; the
-    // log keeps them for good, so without the slack their growth left.
+    // The transaction ends here, so its statements and writeset move into
+    // the log. The log keeps them, so they drop the slack of their growth.
     if (options_.binlog_statements) {
       entry.statements = std::move(txn.statements);
       entry.statements.shrink_to_fit();

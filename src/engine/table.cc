@@ -405,6 +405,7 @@ uint64_t VersionedTable::PhysicalKey(RowId rid) const {
 std::vector<VersionedTable::ScanHit> VersionedTable::PhysicalOrder(
     const TxnView& txn, ExecStats* stats) const {
   std::vector<ScanHit> hits;
+  hits.reserve(rows_.size());
   // replicheck:allow(unordered-iter) sorted below by the unique PhysicalKey
   for (const auto& [rid, chain] : rows_) {
     if (stats) stats->rows_scanned += chain.versions.size();

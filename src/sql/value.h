@@ -89,7 +89,7 @@ uint64_t HashRow(const Row& row);
 }  // namespace replidb::sql
 
 /// Hashes by KeyHash, so equality (Compare == 0) and the hash agree and a
-/// Value can key an unordered container (e.g. common::HashMap).
+/// Value can key an unordered container.
 template <>
 struct std::hash<replidb::sql::Value> {
   size_t operator()(const replidb::sql::Value& v) const {
