@@ -1012,10 +1012,11 @@ std::string ShowRows(const ExecResult& r) {
 // writeset applies, over an INT and a DOUBLE primary key, with keys
 // written and looked up as INT 5, DOUBLE 5.0 and TRUE/FALSE for 1/0. Two
 // engines run every step with the same physical seed and different hash
-// seeds. After each step a point select (the index path) must return what
-// a full scan evaluating the same predicate returns, in every session, and
-// the engines must agree on every outcome: no hash order may reach a
-// result or an error.
+// seeds. After each step, in every session, a point select (the index
+// path) must return a row of the full scan that evaluates the same
+// predicate, and nothing only when the scan finds nothing. The engines
+// must agree on every outcome: no hash order may reach a result or an
+// error, such as which of two rows a UNIQUE clash reports.
 TEST(PkIndexTest, PointAccessMatchesFullScans) {
   constexpr int kSessions = 3;
   constexpr int64_t kKeys = 24;
@@ -1108,10 +1109,22 @@ TEST(PkIndexTest, PointAccessMatchesFullScans) {
     int si = static_cast<int>(rng.Uniform(kSessions));
     const std::string& tb = tables[rng.Uniform(tables.size())];
     int64_t k = key();
-    switch (rng.Uniform(14)) {
+    switch (rng.Uniform(16)) {
       case 0:
       case 1:
         both(si, "INSERT INTO " + tb + " VALUES " + row(k));
+        break;
+      case 14: {  // Free a UNIQUE value and take it again: two chains carry
+                  // it, and a clash with both must report the older one's.
+        std::string u = std::to_string(rng.UniformRange(0, 7));
+        both(si, "DELETE FROM " + tb + " WHERE u = " + u);
+        both(si, "INSERT INTO " + tb + " VALUES (" + lit(k) + ", " + u +
+                     ", 0)");
+        break;
+      }
+      case 15:  // A fresh key, so only a UNIQUE clash can refuse it.
+        both(si, "INSERT INTO " + tb + " VALUES (" +
+                     std::to_string(kKeys + step) + ", " + uniq() + ", 0)");
         break;
       case 2:  // Statement undo when the second row clashes.
         both(si, "INSERT INTO " + tb + " VALUES " + row(k) + ", " + row(key()));
