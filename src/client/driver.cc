@@ -49,8 +49,11 @@ Driver::Driver(sim::Simulator* sim, net::Network* network, net::NodeId node,
     : sim_(sim), controllers_(std::move(controllers)), options_(options) {
   last_seen_.assign(controllers_.size(), 0);
   dispatcher_ = std::make_unique<net::Dispatcher>(network, node, site);
-  dispatcher_->On(kMsgClientTxnReply,
-                  [this](const net::Message& m) { HandleReply(m); });
+  dispatcher_->On<ClientTxnReply>(
+      kMsgClientTxnReply,
+      [this](const net::Message&, const ClientTxnReply& reply) {
+        HandleReply(reply);
+      });
 }
 
 void Driver::Submit(middleware::TxnRequest request, Callback cb) {
@@ -101,16 +104,15 @@ void Driver::Send(uint64_t req_id) {
   msg.req_id = req_id;
   msg.request = out.request;
   msg.last_seen_version = last_seen_[pick];
-  dispatcher_->Send(controllers_[pick], kMsgClientTxn, msg,
-                    middleware::StatementsWireSize(msg.request.statements),
+  int64_t bytes = middleware::StatementsWireSize(msg.request.statements);
+  dispatcher_->Send(controllers_[pick], kMsgClientTxn, std::move(msg), bytes,
                     out.request.trace.id);
 
   out.timer = sim_->Schedule(options_.request_timeout,
                              [this, req_id] { OnTimeout(req_id); });
 }
 
-void Driver::HandleReply(const net::Message& m) {
-  auto reply = std::any_cast<ClientTxnReply>(m.body);
+void Driver::HandleReply(const ClientTxnReply& reply) {
   auto it = outstanding_.find(reply.req_id);
   if (it == outstanding_.end()) return;  // Timed-out request, late reply.
   Outstanding& out = it->second;

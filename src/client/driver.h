@@ -77,7 +77,7 @@ class Driver {
   };
 
   void Send(uint64_t req_id);
-  void HandleReply(const net::Message& m);
+  void HandleReply(const middleware::ClientTxnReply& reply);
   void OnTimeout(uint64_t req_id);
   void Retry(uint64_t req_id, Outstanding* out);
 

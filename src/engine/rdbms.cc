@@ -873,6 +873,8 @@ class StatementExecutor {
     int64_t count = 0;
     double sum = 0;
     bool all_int = true;
+    int64_t int_sum = 0;  ///< Exact SUM while every value is INT.
+    bool int_overflow = false;
     std::optional<Value> min, max;
     for (const auto& [rid, row] : rows) {
       (void)rid;
@@ -882,6 +884,10 @@ class StatementExecutor {
       ++count;
       sum += v.value().NumericValue();
       all_int = all_int && v.value().type() == sql::ValueType::kInt;
+      if (all_int && !int_overflow) {
+        int_overflow =
+            __builtin_add_overflow(int_sum, v.value().AsInt(), &int_sum);
+      }
       if (!min || v.value().Compare(*min) < 0) min = v.value();
       if (!max || v.value().Compare(*max) > 0) max = v.value();
     }
@@ -890,8 +896,9 @@ class StatementExecutor {
         return Value::Int(count);
       case sql::AggFunc::kSum:
         if (count == 0) return Value::Null();
-        return all_int ? Value::Int(static_cast<int64_t>(sum))
-                       : Value::Double(sum);
+        if (!all_int) return Value::Double(sum);
+        if (int_overflow) return Status::InvalidArgument("integer out of range");
+        return Value::Int(int_sum);
       case sql::AggFunc::kMin:
         return min ? *min : Value::Null();
       case sql::AggFunc::kMax:

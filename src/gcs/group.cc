@@ -44,28 +44,28 @@ struct GcsMetrics {
   }
 };
 
-struct FwdBody {
+constexpr char kFwd[] = "gcs.fwd";
+constexpr char kOrd[] = "gcs.ord";
+constexpr char kNack[] = "gcs.nack";
+
+}  // namespace
+
+struct GroupMember::FwdBody {
   uint64_t msg_id;
   std::any payload;
   int64_t size_bytes;
 };
-struct OrdBody {
+struct GroupMember::OrdBody {
   uint64_t seq;
   net::NodeId origin;
   uint64_t msg_id;
   std::any payload;
   int64_t size_bytes;
 };
-struct NackBody {
+struct GroupMember::NackBody {
   uint64_t from_seq;
   uint64_t to_seq;
 };
-
-constexpr char kFwd[] = "gcs.fwd";
-constexpr char kOrd[] = "gcs.ord";
-constexpr char kNack[] = "gcs.nack";
-
-}  // namespace
 
 GroupMember::GroupMember(sim::Simulator* sim, net::Dispatcher* dispatcher,
                          std::vector<net::NodeId> members, GroupOptions options)
@@ -75,9 +75,18 @@ GroupMember::GroupMember(sim::Simulator* sim, net::Dispatcher* dispatcher,
       all_members_(std::move(members)) {
   std::sort(all_members_.begin(), all_members_.end());
 
-  dispatcher_->On(kFwd, [this](const net::Message& m) { HandleForward(m); });
-  dispatcher_->On(kOrd, [this](const net::Message& m) { HandleOrdered(m); });
-  dispatcher_->On(kNack, [this](const net::Message& m) { HandleNack(m); });
+  dispatcher_->On<FwdBody>(
+      kFwd, [this](const net::Message& m, const FwdBody& body) {
+        HandleForward(m, body);
+      });
+  dispatcher_->On<OrdBody>(
+      kOrd, [this](const net::Message&, const OrdBody& body) {
+        HandleOrdered(body);
+      });
+  dispatcher_->On<NackBody>(
+      kNack, [this](const net::Message& m, const NackBody& body) {
+        HandleNack(m, body);
+      });
 
   hb_responder_ =
       std::make_unique<net::HeartbeatResponder>(sim_, dispatcher_);
@@ -170,9 +179,8 @@ void GroupMember::Multicast(std::any payload, int64_t size_bytes) {
   }
 }
 
-void GroupMember::HandleForward(const net::Message& m) {
+void GroupMember::HandleForward(const net::Message& m, const FwdBody& body) {
   if (!IsSequencer()) return;  // Stale view at the origin; it will resend.
-  auto body = std::any_cast<FwdBody>(m.body);
   auto key = std::make_pair(m.from, body.msg_id);
   auto it = assigned_.find(key);
   uint64_t seq;
@@ -214,8 +222,7 @@ void GroupMember::HandleForward(const net::Message& m) {
   });
 }
 
-void GroupMember::HandleOrdered(const net::Message& m) {
-  auto body = std::any_cast<OrdBody>(m.body);
+void GroupMember::HandleOrdered(const OrdBody& body) {
   if (body.seq < next_expected_) return;  // Duplicate.
   if (!out_of_order_.count(body.seq)) {
     out_of_order_[body.seq] =
@@ -246,8 +253,7 @@ void GroupMember::MaybeDeliver() {
   }
 }
 
-void GroupMember::HandleNack(const net::Message& m) {
-  auto body = std::any_cast<NackBody>(m.body);
+void GroupMember::HandleNack(const net::Message& m, const NackBody& body) {
   for (uint64_t seq = body.from_seq; seq <= body.to_seq; ++seq) {
     auto it = history_.find(seq);
     if (it == history_.end()) continue;

@@ -102,9 +102,14 @@ class GroupMember {
     int64_t size_bytes;
   };
 
-  void HandleForward(const net::Message& m);
-  void HandleOrdered(const net::Message& m);
-  void HandleNack(const net::Message& m);
+  // Wire bodies (group.cc).
+  struct FwdBody;
+  struct OrdBody;
+  struct NackBody;
+
+  void HandleForward(const net::Message& m, const FwdBody& body);
+  void HandleOrdered(const OrdBody& body);
+  void HandleNack(const net::Message& m, const NackBody& body);
   void MaybeDeliver();
   void RecomputeView();
   void Tick();

@@ -132,11 +132,12 @@ Controller::Controller(sim::Simulator* sim, net::Network* network,
 
   ship_pipeline_ = std::make_unique<ship::ShipPipeline>(sim_, dispatcher_.get(),
                                                         options_.ship);
-  dispatcher_->On(ship::kMsgShipCredit, [this](const net::Message& m) {
-    if (crashed_) return;
-    auto body = std::any_cast<ship::ShipCreditMsg>(m.body);
-    ship_pipeline_->OnCredit(m.from, body.bytes);
-  });
+  dispatcher_->On<ship::ShipCreditMsg>(
+      ship::kMsgShipCredit,
+      [this](const net::Message& m, const ship::ShipCreditMsg& body) {
+        if (crashed_) return;
+        ship_pipeline_->OnCredit(m.from, body.bytes);
+      });
 
   hb_responder_ = std::make_unique<net::HeartbeatResponder>(sim_, dispatcher_.get());
   detector_ = std::make_unique<net::HeartbeatDetector>(sim_, dispatcher_.get(),
@@ -145,53 +146,67 @@ Controller::Controller(sim::Simulator* sim, net::Network* network,
     OnReplicaSuspicion(n, suspect);
   });
 
-  dispatcher_->On(kMsgClientTxn,
-                  [this](const net::Message& m) { HandleClientTxn(m); });
-  dispatcher_->On(kMsgExecReply,
-                  [this](const net::Message& m) { HandleExecReply(m); });
-  dispatcher_->On(kMsgFinishReply,
-                  [this](const net::Message& m) { HandleFinishReply(m); });
-  dispatcher_->On(kMsgProgress,
-                  [this](const net::Message& m) { HandleProgress(m); });
-  dispatcher_->On(kMsgAuditReport,
-                  [this](const net::Message& m) { HandleAuditReport(m); });
-  dispatcher_->On(kMsgBackupReply, [this](const net::Message& m) {
-    auto body = std::any_cast<BackupReplyMsg>(m.body);
-    auto it = backup_waiters_.find(body.req_id);
-    if (it == backup_waiters_.end()) return;
-    auto cb = std::move(it->second);
-    backup_waiters_.erase(it);
-    cb(body);
-  });
-  dispatcher_->On(kMsgRestoreReply, [this](const net::Message& m) {
-    auto body = std::any_cast<RestoreReplyMsg>(m.body);
-    auto it = restore_waiters_.find(body.req_id);
-    if (it == restore_waiters_.end()) return;
-    auto cb = std::move(it->second);
-    restore_waiters_.erase(it);
-    cb(body);
-  });
+  dispatcher_->On<ClientTxnMsg>(
+      kMsgClientTxn, [this](const net::Message& m, const ClientTxnMsg& msg) {
+        HandleClientTxn(m, msg);
+      });
+  dispatcher_->On<ExecTxnReply>(
+      kMsgExecReply, [this](const net::Message& m, const ExecTxnReply& reply) {
+        HandleExecReply(m, reply);
+      });
+  dispatcher_->On<FinishTxnReply>(
+      kMsgFinishReply,
+      [this](const net::Message&, const FinishTxnReply& reply) {
+        HandleFinishReply(reply);
+      });
+  dispatcher_->On<ProgressMsg>(
+      kMsgProgress, [this](const net::Message& m, const ProgressMsg& body) {
+        HandleProgress(m, body);
+      });
+  dispatcher_->On<AuditReportMsg>(
+      kMsgAuditReport,
+      [this](const net::Message& m, const AuditReportMsg& body) {
+        HandleAuditReport(m, body);
+      });
+  dispatcher_->On<BackupReplyMsg>(
+      kMsgBackupReply, [this](const net::Message&, const BackupReplyMsg& body) {
+        auto it = backup_waiters_.find(body.req_id);
+        if (it == backup_waiters_.end()) return;
+        auto cb = std::move(it->second);
+        backup_waiters_.erase(it);
+        cb(body);
+      });
+  dispatcher_->On<RestoreReplyMsg>(
+      kMsgRestoreReply,
+      [this](const net::Message&, const RestoreReplyMsg& body) {
+        auto it = restore_waiters_.find(body.req_id);
+        if (it == restore_waiters_.end()) return;
+        auto cb = std::move(it->second);
+        restore_waiters_.erase(it);
+        cb(body);
+      });
 
   // Controller replication (§3.2): standby absorbs mirror traffic and
   // watches the active; the active collects mirror acks.
-  dispatcher_->On(kMsgMirror, [this](const net::Message& m) {
-    if (crashed_) return;
-    auto body = std::any_cast<MirrorMsg>(m.body);
-    if (body.entry.version > 0) recovery_log_.Append(body.entry);
-    global_version_ = std::max(global_version_, body.global_version);
-    dispatcher_->Send(m.from, kMsgMirrorAck, MirrorAckMsg{body.seq}, kAckWireBytes);
-  });
-  dispatcher_->On(kMsgMirrorAck, [this](const net::Message& m) {
-    if (crashed_) return;
-    auto body = std::any_cast<MirrorAckMsg>(m.body);
-    ++mirror_acks_;
-    // Release client replies parked on this (or any earlier) mirror seq.
-    for (auto it = mirror_waiters_.begin();
-         it != mirror_waiters_.end() && it->first <= body.seq;) {
-      it->second();
-      it = mirror_waiters_.erase(it);
-    }
-  });
+  dispatcher_->On<MirrorMsg>(
+      kMsgMirror, [this](const net::Message& m, const MirrorMsg& body) {
+        if (crashed_) return;
+        if (body.entry.version > 0) recovery_log_.Append(body.entry);
+        global_version_ = std::max(global_version_, body.global_version);
+        dispatcher_->Send(m.from, kMsgMirrorAck, MirrorAckMsg{body.seq},
+                          kAckWireBytes);
+      });
+  dispatcher_->On<MirrorAckMsg>(
+      kMsgMirrorAck, [this](const net::Message&, const MirrorAckMsg& body) {
+        if (crashed_) return;
+        ++mirror_acks_;
+        // Release client replies parked on this (or any earlier) mirror seq.
+        for (auto it = mirror_waiters_.begin();
+             it != mirror_waiters_.end() && it->first <= body.seq;) {
+          it->second();
+          it = mirror_waiters_.erase(it);
+        }
+      });
   if (options_.standby_of >= 0) {
     passive_ = true;
     net::HeartbeatOptions watchdog = options_.heartbeat;
@@ -288,16 +303,16 @@ void Controller::RunAuditEpoch() {
   }
 }
 
-void Controller::HandleAuditReport(const net::Message& m) {
+void Controller::HandleAuditReport(const net::Message& m,
+                                   const AuditReportMsg& body) {
   if (crashed_) return;
-  auto body = std::any_cast<AuditReportMsg>(m.body);
   ControllerMetrics::Get().audit_reports->Increment();
   audit::ReplicaAuditReport report;
   report.replica = m.from;
   report.epoch = body.epoch;
   report.captured_version = body.captured_version;
   report.last_applied_seq = body.last_applied_seq;
-  report.table_digests = std::move(body.digests);
+  report.table_digests = body.digests;
   std::vector<audit::Divergence> fresh = auditor_.AddReport(std::move(report));
   for (const audit::Divergence& d : fresh) {
     ControllerMetrics::Get().audit_divergence->Increment();
@@ -410,7 +425,7 @@ void Controller::MirrorAppend(const ReplicationEntry& entry) {
   msg.seq = ++mirror_seq_;
   msg.entry = entry;
   msg.global_version = global_version_;
-  dispatcher_->Send(options_.mirror_to, kMsgMirror, msg,
+  dispatcher_->Send(options_.mirror_to, kMsgMirror, std::move(msg),
                     entry.SizeBytes() + 64);
 }
 
@@ -477,9 +492,9 @@ const Controller::ReplicaInfo* Controller::Info(net::NodeId replica) const {
 // ---------------------------------------------------------------------------
 // Client transaction entry point
 
-void Controller::HandleClientTxn(const net::Message& m) {
+void Controller::HandleClientTxn(const net::Message& m,
+                                 const ClientTxnMsg& msg) {
   if (crashed_) return;
-  auto msg = std::any_cast<ClientTxnMsg>(m.body);
   if (passive_) {
     ClientTxnReply reply;
     reply.req_id = msg.req_id;
@@ -587,9 +602,8 @@ void Controller::HandleClientTxn(const net::Message& m) {
     auto pit = pending_.find(req);
     if (pit == pending_.end()) return;
     Pending* p = &pit->second;
-    p->routed = sim_->Now();
     ControllerMetrics::Get().process_ms->Observe(
-        sim::ToMillis(p->routed - p->arrived));
+        sim::ToMillis(sim_->Now() - p->arrived));
     if (p->is_write) {
       RouteWrite(p);
     } else {
@@ -728,7 +742,8 @@ void Controller::RouteRead(Pending* p) {
   msg.min_version = p->min_version;
   msg.tables = p->tables;
   msg.trace_id = p->request.trace.id;
-  dispatcher_->Send(target, kMsgExec, msg, ExecMsgWireSize(msg),
+  int64_t bytes = ExecMsgWireSize(msg);
+  dispatcher_->Send(target, kMsgExec, std::move(msg), bytes,
                     p->request.trace.id);
 }
 
@@ -814,12 +829,13 @@ void Controller::RouteWriteMasterSlave(Pending* p) {
     }
     msg.sync_ack_count = std::min(options_.sync_ack_count, online_slaves);
   }
-  dispatcher_->Send(master_, kMsgExec, msg, ExecMsgWireSize(msg),
+  int64_t bytes = ExecMsgWireSize(msg);
+  dispatcher_->Send(master_, kMsgExec, std::move(msg), bytes,
                     p->request.trace.id);
 }
 
-Status Controller::PrepareStatements(Pending* p) {
-  p->statements.clear();
+Result<std::vector<std::string>> Controller::PrepareStatements(Pending* p) {
+  std::vector<std::string> statements;
   sql::Value now_value = sql::Value::Int(sim_->Now());
   bool unsafe = false;
   std::vector<std::string> reasons;
@@ -828,7 +844,7 @@ Status Controller::PrepareStatements(Pending* p) {
   for (size_t i = 0; i < parsed.size(); ++i) {
     if (!parsed[i]) {
       // Opaque statement: cannot rewrite; broadcast raw.
-      p->statements.push_back(p->request.statements[i]);
+      statements.push_back(p->request.statements[i]);
       continue;
     }
     sql::Statement& stmt = *parsed[i];
@@ -838,7 +854,7 @@ Status Controller::PrepareStatements(Pending* p) {
       unsafe = true;
       for (const std::string& r : report.issues) reasons.push_back(r);
     }
-    p->statements.push_back(sql::ToSql(stmt));
+    statements.push_back(sql::ToSql(stmt));
   }
   if (unsafe) {
     if (options_.nondeterminism == NonDeterminismPolicy::kRefuse) {
@@ -851,14 +867,14 @@ Status Controller::PrepareStatements(Pending* p) {
     ++stats_.unsafe_broadcasts;  // Divergence risk accepted.
     ControllerMetrics::Get().unsafe_broadcast->Increment();
   }
-  return Status::OK();
+  return statements;
 }
 
 void Controller::RouteWriteStatement(Pending* p) {
-  Status prepared = PrepareStatements(p);
+  Result<std::vector<std::string>> prepared = PrepareStatements(p);
   if (!prepared.ok()) {
     TxnResult result;
-    result.status = prepared;
+    result.status = prepared.status();
     FinishRequest(p, std::move(result));
     return;
   }
@@ -882,7 +898,7 @@ void Controller::RouteWriteStatement(Pending* p) {
   p->order = ++global_version_;
   ReplicationEntry entry;
   entry.version = p->order;
-  entry.statements = p->statements;
+  entry.statements = prepared.TakeValue();
   entry.use_statements = true;
   entry.origin_commit_us = sim_->Now();
   recovery_log_.Append(entry);
@@ -894,12 +910,13 @@ void Controller::RouteWriteStatement(Pending* p) {
   for (net::NodeId t : targets) {
     ExecTxnMsg msg;
     msg.req_id = p->req_id;
-    msg.statements = p->statements;
+    msg.statements = entry.statements;
     msg.read_only = false;
     msg.order = p->order;
     msg.tables = p->tables;
     msg.trace_id = p->request.trace.id;
-    dispatcher_->Send(t, kMsgExec, msg, ExecMsgWireSize(msg),
+    int64_t bytes = ExecMsgWireSize(msg);
+    dispatcher_->Send(t, kMsgExec, std::move(msg), bytes,
                       p->request.trace.id);
   }
 }
@@ -915,7 +932,6 @@ void Controller::RouteWriteCertification(Pending* p) {
     return;
   }
   p->target = target;
-  p->begin_version = global_version_;
   Info(target)->outstanding++;
   ExecTxnMsg msg;
   msg.req_id = p->req_id;
@@ -924,16 +940,17 @@ void Controller::RouteWriteCertification(Pending* p) {
   msg.hold_commit = true;
   msg.tables = p->tables;
   msg.trace_id = p->request.trace.id;
-  dispatcher_->Send(target, kMsgExec, msg, ExecMsgWireSize(msg),
+  int64_t bytes = ExecMsgWireSize(msg);
+  dispatcher_->Send(target, kMsgExec, std::move(msg), bytes,
                     p->request.trace.id);
 }
 
 // ---------------------------------------------------------------------------
 // Replies
 
-void Controller::HandleExecReply(const net::Message& m) {
+void Controller::HandleExecReply(const net::Message& m,
+                                 const ExecTxnReply& reply) {
   if (crashed_) return;
-  auto reply = std::any_cast<ExecTxnReply>(m.body);
   auto it = pending_.find(reply.req_id);
   if (it == pending_.end()) return;  // Timed out earlier.
   Pending* p = &it->second;
@@ -945,7 +962,7 @@ void Controller::HandleExecReply(const net::Message& m) {
   if (!p->is_write) {
     TxnResult result;
     result.status = reply.status;
-    result.rows = std::move(reply.rows);
+    result.rows = reply.rows;
     uint64_t staleness =
         global_version_ > reply.replica_applied_version
             ? global_version_ - reply.replica_applied_version
@@ -974,7 +991,6 @@ void Controller::HandleExecReply(const net::Message& m) {
             reply.writeset.empty() || reply.writeset.incomplete;
         entry.origin_commit_us = sim_->Now();
         recovery_log_.Append(entry);
-        p->mirror_seq_after = 0;
         MirrorAppend(entry);
         p->mirror_seq_after = mirror_seq_;
         result.version = reply.committed_version;
@@ -987,10 +1003,10 @@ void Controller::HandleExecReply(const net::Message& m) {
     }
     case ReplicationMode::kMultiMasterStatement: {
       --p->replies_needed;
-      if (p->first_reply.req_id == 0) p->first_reply = reply;
+      if (!p->first_status) p->first_status = reply.status;
       if (p->replies_needed > 0) return;
       TxnResult result;
-      result.status = p->first_reply.status;
+      result.status = *p->first_status;
       if (result.status.ok()) {
         result.version = p->order;
       } else {
@@ -1009,16 +1025,14 @@ void Controller::HandleExecReply(const net::Message& m) {
         FinishRequest(p, std::move(result));
         return;
       }
-      p->writeset = reply.writeset;
-      p->statements = reply.statements;
       // The transaction's snapshot is exactly what the replica had applied
       // when it executed. Not the controller's (possibly newer) global
       // version: in-flight versions the replica had not yet applied are
       // genuine conflicts, and not the arrival-time version either:
       // queueing delay would masquerade as conflicts.
-      p->begin_version = reply.replica_applied_version;
-      std::vector<std::string> keys = p->writeset.ConflictKeys();
-      if (p->writeset.incomplete) {
+      GlobalVersion begin_version = reply.replica_applied_version;
+      std::vector<std::string> keys = reply.writeset.ConflictKeys();
+      if (reply.writeset.incomplete) {
         ControllerMetrics::Get().aborts_cert_incomplete->Increment();
         FinishTxnMsg abort_msg;
         abort_msg.req_id = p->req_id;
@@ -1030,13 +1044,13 @@ void Controller::HandleExecReply(const net::Message& m) {
         FinishRequest(p, std::move(result));
         return;
       }
-      if (!Certify(p->begin_version, keys)) {
+      if (!Certify(begin_version, keys)) {
         ++stats_.aborts_certification;
         ControllerMetrics::Get().aborts_cert->Increment();
         obs::FlightRecorder::Global().Record(
             sim_->Now(), id(), obs::FlightEventKind::kCertAbort,
             "origin=" + std::to_string(p->target) +
-                " begin_version=" + std::to_string(p->begin_version));
+                " begin_version=" + std::to_string(begin_version));
         FinishTxnMsg abort_msg;
         abort_msg.req_id = p->req_id;
         abort_msg.commit = false;
@@ -1053,8 +1067,8 @@ void Controller::HandleExecReply(const net::Message& m) {
       ControllerMetrics::Get().certified->Increment();
       ReplicationEntry entry;
       entry.version = v;
-      entry.writeset = p->writeset;
-      entry.statements = p->statements;
+      entry.writeset = reply.writeset;
+      entry.statements = reply.statements;
       entry.use_statements = false;
       entry.origin_commit_us = sim_->Now();
       recovery_log_.Append(entry);
@@ -1064,24 +1078,23 @@ void Controller::HandleExecReply(const net::Message& m) {
         if (id == p->target || info.state == ReplicaState::kDown) continue;
         ship_pipeline_->Enqueue(id, entry);
       }
-      p->held = true;
       p->order = v;
+      int64_t commit_bytes = entry.SizeBytes() + 64;
       FinishTxnMsg commit_msg;
       commit_msg.req_id = p->req_id;
       commit_msg.commit = true;
       commit_msg.version = v;
-      commit_msg.entry = entry;
+      commit_msg.entry = std::move(entry);
       commit_msg.trace_id = p->request.trace.id;
-      dispatcher_->Send(p->target, kMsgFinish, commit_msg,
-                        entry.SizeBytes() + 64, p->request.trace.id);
+      dispatcher_->Send(p->target, kMsgFinish, std::move(commit_msg),
+                        commit_bytes, p->request.trace.id);
       return;
     }
   }
 }
 
-void Controller::HandleFinishReply(const net::Message& m) {
+void Controller::HandleFinishReply(const FinishTxnReply& reply) {
   if (crashed_) return;
-  auto reply = std::any_cast<FinishTxnReply>(m.body);
   auto it = pending_.find(reply.req_id);
   if (it == pending_.end()) return;
   Pending* p = &it->second;
@@ -1105,9 +1118,9 @@ void Controller::RecordCertified(GlobalVersion version,
   for (const std::string& key : keys) last_writer_[key] = version;
 }
 
-void Controller::HandleProgress(const net::Message& m) {
+void Controller::HandleProgress(const net::Message& m,
+                                const ProgressMsg& body) {
   if (crashed_) return;
-  auto body = std::any_cast<ProgressMsg>(m.body);
   ReplicaInfo* info = Info(m.from);
   if (info == nullptr) return;
   info->applied = std::max(info->applied, body.applied_version);
@@ -1164,9 +1177,9 @@ void Controller::FinishRequest(Pending* p, TxnResult result) {
   pending_.erase(p->req_id);
   ControllerMetrics::Get().pending_txns->Set(
       static_cast<int64_t>(pending_.size()));
-  auto send = [this, client, reply, txn]() {
-    dispatcher_->Send(client, kMsgClientTxnReply, reply, kRowsReplyWireBytes,
-                      txn);
+  auto send = [this, client, reply = std::move(reply), txn]() mutable {
+    dispatcher_->Send(client, kMsgClientTxnReply, std::move(reply),
+                      kRowsReplyWireBytes, txn);
   };
   if (options_.mirror_to >= 0 && options_.mirror_sync && mirror_seq > 0 &&
       mirror_seq > mirror_acks_) {
@@ -1175,7 +1188,7 @@ void Controller::FinishRequest(Pending* p, TxnResult result) {
     // is a group-commit-style release wait on the client's critical path.
     sim::TimePoint parked = sim_->Now();
     mirror_waiters_.emplace(
-        mirror_seq, [this, parked, txn, send = std::move(send)]() {
+        mirror_seq, [this, parked, txn, send = std::move(send)]() mutable {
           if (obs::CriticalPathEnabled() && txn != 0) {
             obs::CriticalPathCollector::Global().RecordWait(
                 obs::ChainKind::kClient, txn, 0,
@@ -1213,12 +1226,6 @@ void Controller::OnTimeout(uint64_t req_id) {
     result.version = p->order;
     FinishRequest(p, std::move(result));
     return;
-  }
-  if (p->held) {
-    FinishTxnMsg abort_msg;
-    abort_msg.req_id = p->req_id;
-    abort_msg.commit = false;
-    dispatcher_->Send(p->target, kMsgFinish, abort_msg, kControlWireBytes);
   }
   TxnResult result;
   result.status = Status::Timeout("request timed out in middleware");
@@ -1503,7 +1510,8 @@ void Controller::AddReplica(ReplicaNode* node, net::NodeId donor,
     rmsg.req_id = rreq;
     rmsg.image = reply.image;
     rmsg.as_of_version = reply.as_of_version;
-    dispatcher_->Send(new_id, kMsgRestore, rmsg, rmsg.image.SizeBytes() + 128);
+    int64_t bytes = rmsg.image.SizeBytes() + 128;
+    dispatcher_->Send(new_id, kMsgRestore, std::move(rmsg), bytes);
   };
   BackupMsg msg;
   msg.req_id = req;
@@ -1627,7 +1635,8 @@ void Controller::CloneInto(net::NodeId target, net::NodeId donor) {
     rmsg.req_id = rreq;
     rmsg.image = reply.image;
     rmsg.as_of_version = reply.as_of_version;
-    dispatcher_->Send(target, kMsgRestore, rmsg, rmsg.image.SizeBytes() + 128);
+    int64_t bytes = rmsg.image.SizeBytes() + 128;
+    dispatcher_->Send(target, kMsgRestore, std::move(rmsg), bytes);
   };
   BackupMsg msg;
   msg.req_id = req;

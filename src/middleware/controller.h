@@ -264,39 +264,35 @@ class Controller {
     obs::Gauge* lag_gauge = nullptr;  ///< middleware.replica.N.lag_txns.
   };
 
-  /// One client transaction in flight.
+  /// One client transaction in flight: only what outlives the handler
+  /// that wrote it.
   struct Pending {
     uint64_t req_id = 0;
     net::NodeId client = -1;
     uint64_t client_req_id = 0;
     sim::TimePoint arrived = 0;  ///< When the controller received it.
-    sim::TimePoint routed = 0;   ///< When parse/route finished.
     TxnRequest request;
     GlobalVersion min_version = 0;
     bool is_write = false;
     net::NodeId target = -1;          ///< Replica executing it.
     sim::EventId timer = 0;
-    // Certification mode state.
-    bool held = false;
-    GlobalVersion begin_version = 0;
-    engine::Writeset writeset;
-    std::vector<std::string> statements;
+    std::vector<std::string> tables;
+    /// The write's slot in the global order, once it has one (statement
+    /// mode at route time, certification mode once certified).
+    GlobalVersion order = 0;
+    uint64_t mirror_seq_after = 0;  ///< Mirror seq covering this write.
     // Statement mode state. `parsed` holds, for a write only, each request
     // statement as parsed on arrival (nullopt: it did not parse), until
     // PrepareStatements rewrites and serializes them.
     std::vector<std::optional<sql::Statement>> parsed;
-    GlobalVersion order = 0;
-    uint64_t mirror_seq_after = 0;  ///< Mirror seq covering this write.
     int replies_needed = 0;
-    bool replied_to_client = false;
-    ExecTxnReply first_reply;
-    std::vector<std::string> tables;
+    std::optional<Status> first_status;  ///< First replica reply's outcome.
   };
 
-  void HandleClientTxn(const net::Message& m);
-  void HandleExecReply(const net::Message& m);
-  void HandleFinishReply(const net::Message& m);
-  void HandleProgress(const net::Message& m);
+  void HandleClientTxn(const net::Message& m, const ClientTxnMsg& msg);
+  void HandleExecReply(const net::Message& m, const ExecTxnReply& reply);
+  void HandleFinishReply(const FinishTxnReply& reply);
+  void HandleProgress(const net::Message& m, const ProgressMsg& body);
 
   void RouteRead(Pending* p);
   void RouteWrite(Pending* p);
@@ -306,8 +302,9 @@ class Controller {
 
   /// Analyzes and rewrites the statements parsed on arrival for statement
   /// replication; runs at route time, which binds NOW() and RAND().
-  /// Returns non-OK when policy forbids broadcasting.
-  Status PrepareStatements(Pending* p);
+  /// Returns the statements to broadcast, or non-OK when policy forbids
+  /// broadcasting.
+  Result<std::vector<std::string>> PrepareStatements(Pending* p);
 
   /// Picks a read replica per LB policy and consistency constraints.
   net::NodeId PickReadReplica(const Pending& p);
@@ -327,7 +324,7 @@ class Controller {
   /// Opens one audit epoch: barrier broadcast to every online replica.
   void RunAuditEpoch();
   void StartAuditTask();
-  void HandleAuditReport(const net::Message& m);
+  void HandleAuditReport(const net::Message& m, const AuditReportMsg& body);
   /// Standby: the active controller stopped answering — take over.
   void TakeOver();
   /// Active: push durable state to the standby; returns the mirror seq.

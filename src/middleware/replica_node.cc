@@ -54,6 +54,13 @@ const sql::Statement kBeginTxn{sql::BeginStmt{}};
 const sql::Statement kCommitTxn{sql::CommitStmt{}};
 const sql::Statement kRollbackTxn{sql::RollbackStmt{}};
 
+/// Whether an entry applies by re-running its statements rather than by
+/// its row images (statement replication, DDL, PK-less tables).
+bool AppliesStatements(const ReplicationEntry& entry) {
+  return entry.use_statements || entry.writeset.empty() ||
+         entry.writeset.incomplete;
+}
+
 }  // namespace
 
 const char* ReplicationModeName(ReplicationMode mode) {
@@ -119,40 +126,57 @@ ReplicaNode::ReplicaNode(sim::Simulator* sim, net::Network* network,
   pk_index_keys_gauge_ =
       registry.GetGauge("replica." + std::to_string(node) + ".pk_index_keys");
 
-  dispatcher_->On(kMsgExec, [this](const net::Message& m) { HandleExec(m); });
-  dispatcher_->On(kMsgFinish, [this](const net::Message& m) { HandleFinish(m); });
-  dispatcher_->On(kMsgShipAck, [this](const net::Message& m) {
-    auto body = std::any_cast<ShipAckMsg>(m.body);
-    auto it = pending_sync_.find(body.version);
-    if (it == pending_sync_.end()) return;
-    if (--it->second.acks_needed <= 0) {
-      auto on_acked = std::move(it->second.on_acked);
-      pending_sync_.erase(it);
-      if (on_acked) on_acked();
-    }
-  });
-  dispatcher_->On(kMsgBackup, [this](const net::Message& m) { HandleBackup(m); });
-  dispatcher_->On(kMsgRestore, [this](const net::Message& m) { HandleRestore(m); });
-  dispatcher_->On(kMsgAuditBarrier, [this](const net::Message& m) {
-    if (crashed_) return;
-    auto msg = std::any_cast<AuditBarrierMsg>(m.body);
-    if (engine_applied_ >= msg.version) {
-      SendAuditReport(msg.epoch, m.from);
-    } else {
-      pending_audits_.emplace(msg.version,
-                              std::make_pair(msg.epoch, m.from));
-    }
-  });
+  dispatcher_->On<ExecTxnMsg>(
+      kMsgExec, [this](const net::Message& m, const ExecTxnMsg& msg) {
+        HandleExec(m, msg);
+      });
+  dispatcher_->On<FinishTxnMsg>(
+      kMsgFinish, [this](const net::Message& m, const FinishTxnMsg& msg) {
+        HandleFinish(m, msg);
+      });
+  dispatcher_->On<ShipAckMsg>(
+      kMsgShipAck, [this](const net::Message&, const ShipAckMsg& body) {
+        auto it = pending_sync_.find(body.version);
+        if (it == pending_sync_.end()) return;
+        if (--it->second.acks_needed <= 0) {
+          auto on_acked = std::move(it->second.on_acked);
+          pending_sync_.erase(it);
+          if (on_acked) on_acked();
+        }
+      });
+  dispatcher_->On<BackupMsg>(
+      kMsgBackup, [this](const net::Message& m, const BackupMsg& msg) {
+        HandleBackup(m, msg);
+      });
+  dispatcher_->On<RestoreMsg>(
+      kMsgRestore, [this](const net::Message& m, const RestoreMsg& msg) {
+        HandleRestore(m, msg);
+      });
+  dispatcher_->On<AuditBarrierMsg>(
+      kMsgAuditBarrier,
+      [this](const net::Message& m, const AuditBarrierMsg& msg) {
+        if (crashed_) return;
+        if (engine_applied_ >= msg.version) {
+          SendAuditReport(msg.epoch, m.from);
+        } else {
+          pending_audits_.emplace(msg.version,
+                                  std::make_pair(msg.epoch, m.from));
+        }
+      });
 
   ship_pipeline_ = std::make_unique<ship::ShipPipeline>(sim_, dispatcher_.get(),
                                                         options_.ship);
-  dispatcher_->On(ship::kMsgShipBatch,
-                  [this](const net::Message& m) { HandleShipBatch(m); });
-  dispatcher_->On(ship::kMsgShipCredit, [this](const net::Message& m) {
-    if (crashed_) return;
-    auto body = std::any_cast<ship::ShipCreditMsg>(m.body);
-    ship_pipeline_->OnCredit(m.from, body.bytes);
-  });
+  dispatcher_->On<ship::ShipBatchMsg>(
+      ship::kMsgShipBatch,
+      [this](const net::Message& m, const ship::ShipBatchMsg& batch) {
+        HandleShipBatch(m, batch);
+      });
+  dispatcher_->On<ship::ShipCreditMsg>(
+      ship::kMsgShipCredit,
+      [this](const net::Message& m, const ship::ShipCreditMsg& body) {
+        if (crashed_) return;
+        ship_pipeline_->OnCredit(m.from, body.bytes);
+      });
 
   ship_task_ = std::make_unique<sim::PeriodicTask>(
       sim_, options_.ship_interval, [this] {
@@ -192,10 +216,6 @@ int64_t ReplicaNode::QueueDepth() const {
   return busy;
 }
 
-uint64_t ReplicaNode::unshipped_entries() const {
-  return engine_->binlog().size() - binlog_shipped_index_;
-}
-
 GlobalVersion ReplicaNode::persisted_watermark() const {
   Result<std::string> wm =
       log_store_->ReadMeta(binlog::SegmentedBinlog::kWatermarkKey);
@@ -225,10 +245,7 @@ void ReplicaNode::Crash() {
   // senders restore full windows when this node is resubscribed/resynced.
   ship_pipeline_->Clear();
   pending_credits_.clear();
-  ordered_buffer_.clear();
-  ordered_arrival_.clear();
-  ordered_exec_.clear();
-  ordered_finish_.clear();
+  stream_.clear();
   waiting_reads_.clear();
   pending_audits_.clear();
   backlog_gauge_->Set(0);
@@ -290,26 +307,11 @@ void ReplicaNode::Restart() {
 // ---------------------------------------------------------------------------
 // Exec path
 
-void ReplicaNode::HandleExec(const net::Message& m) {
+void ReplicaNode::HandleExec(const net::Message& m, const ExecTxnMsg& msg) {
   if (crashed_) return;
-  auto msg = std::any_cast<ExecTxnMsg>(m.body);
   if (msg.order > 0) {
     // Ordered write (statement-mode): enters the replication stream.
-    // engine_applied_ can run ahead of applied_version_ (timed completion
-    // pending); a duplicate in that window must not re-enter the buffer —
-    // it would sit below the drain cursor forever.
-    if (msg.order <= applied_version_ || msg.order <= engine_applied_ ||
-        ordered_buffer_.count(msg.order)) {
-      return;  // Duplicate.
-    }
-    ApplyMsg as_apply;
-    as_apply.entry.version = msg.order;
-    as_apply.entry.statements = msg.statements;
-    as_apply.entry.use_statements = true;
-    ordered_buffer_[msg.order] = std::move(as_apply);
-    ordered_arrival_[msg.order] = sim_->Now();
-    ordered_exec_[msg.order] = std::make_pair(msg, m.from);
-    DrainOrderedBuffer();
+    if (Admit(msg.order, ExecSlot{msg, m.from})) DrainOrderedBuffer();
     return;
   }
 
@@ -326,7 +328,7 @@ void ReplicaNode::StartUnorderedExec(const ExecTxnMsg& msg, net::NodeId from) {
   ExecTxnReply reply;
   reply.req_id = msg.req_id;
   sim::TimePoint arrival = sim_->Now();
-  RunTransaction(msg, from, &reply);
+  RunTransaction(msg, &reply);
   // A master commit advances engine_applied_ without the ordered stream.
   if (!pending_audits_.empty()) CheckAuditBarriers();
   int64_t cost = TouchCache(msg.tables, reply.cost_us);
@@ -351,17 +353,22 @@ void ReplicaNode::StartUnorderedExec(const ExecTxnMsg& msg, net::NodeId from) {
   bool success_write =
       reply.status.ok() && !msg.read_only && reply.committed_version > 0;
   int sync_count = msg.sync_ack_count;
+  GlobalVersion committed = reply.committed_version;
 
-  auto send_reply = [this, from, reply, trace_id]() {
-    dispatcher_->Send(from, kMsgExecReply, reply,
-                      reply.writeset.SizeBytes() + 256, trace_id);
+  // The reply is owned by this one closure and moved into Send.
+  int64_t reply_bytes = reply.writeset.SizeBytes() + 256;
+  auto send_reply = [this, from, reply = std::move(reply), reply_bytes,
+                     trace_id]() mutable {
+    dispatcher_->Send(from, kMsgExecReply, std::move(reply), reply_bytes,
+                      trace_id);
   };
 
-  sim_->ScheduleAt(done, [this, epoch, send_reply, success_write, sync_count,
-                          reply, trace_id, done] {
+  sim_->ScheduleAt(done, [this, epoch, send_reply = std::move(send_reply),
+                          success_write, sync_count, committed, trace_id,
+                          done]() mutable {
     if (epoch != epoch_ || crashed_) return;
-    if (success_write && reply.committed_version > applied_version_) {
-      applied_version_ = reply.committed_version;
+    if (success_write && committed > applied_version_) {
+      applied_version_ = committed;
       SendProgress();
       DrainWaitingReads();
     }
@@ -370,7 +377,8 @@ void ReplicaNode::StartUnorderedExec(const ExecTxnMsg& msg, net::NodeId from) {
       PendingSync ps;
       ps.acks_needed = std::min<int>(sync_count,
                                      static_cast<int>(subscribers_.size()));
-      ps.on_acked = [this, send_reply, trace_id, done]() {
+      ps.on_acked = [this, send_reply = std::move(send_reply), trace_id,
+                     done]() mutable {
         if (obs::CriticalPathEnabled() && trace_id != 0 &&
             sim_->Now() > done) {
           // The commit waited for slave receipt acks: a network round
@@ -381,16 +389,15 @@ void ReplicaNode::StartUnorderedExec(const ExecTxnMsg& msg, net::NodeId from) {
         }
         send_reply();
       };
-      pending_sync_[reply.committed_version] = std::move(ps);
-      ShipCommitted(reply.committed_version);
+      pending_sync_[committed] = std::move(ps);
+      ShipCommitted(committed);
       return;
     }
     send_reply();
   });
 }
 
-void ReplicaNode::RunTransaction(const ExecTxnMsg& msg, net::NodeId from,
-                                 ExecTxnReply* reply) {
+void ReplicaNode::RunTransaction(const ExecTxnMsg& msg, ExecTxnReply* reply) {
   Result<engine::SessionId> sid = engine_->Connect();
   if (!sid.ok()) {
     reply->status = sid.status();
@@ -433,7 +440,6 @@ void ReplicaNode::RunTransaction(const ExecTxnMsg& msg, net::NodeId from,
     HeldTxn held;
     held.session = session;
     if (ws != nullptr) held.writeset = *ws;
-    held.from = from;
     reply->writeset = held.writeset;
     reply->cost_us = cost;
     held_[msg.req_id] = std::move(held);
@@ -461,107 +467,87 @@ void ReplicaNode::RunTransaction(const ExecTxnMsg& msg, net::NodeId from,
   }
 }
 
-void ReplicaNode::HandleFinish(const net::Message& m) {
+void ReplicaNode::HandleFinish(const net::Message& m,
+                               const FinishTxnMsg& msg) {
   if (crashed_) return;
-  auto msg = std::any_cast<FinishTxnMsg>(m.body);
   auto it = held_.find(msg.req_id);
-  if (it == held_.end()) {
-    if (msg.commit) {
-      // The held transaction died (killed by a conflicting apply or lost
-      // in a crash), but the transaction is certified: it must commit
-      // everywhere. Consume the version slot by applying the row images.
-      ApplyMsg fallback;
-      fallback.entry = msg.entry;
-      if (msg.version > engine_applied_ &&
-          !ordered_buffer_.count(msg.version)) {
-        ordered_buffer_[msg.version] = std::move(fallback);
-        ordered_arrival_[msg.version] = sim_->Now();
-        DrainOrderedBuffer();
-      }
-      FinishTxnReply reply;
-      reply.req_id = msg.req_id;
-      reply.version = msg.version;
-      dispatcher_->Send(m.from, kMsgFinishReply, reply, kControlWireBytes);
-      return;
-    }
-    FinishTxnReply reply;
-    reply.req_id = msg.req_id;
-    reply.status =
-        Status::Aborted("held transaction was killed (apply conflict or crash)");
-    dispatcher_->Send(m.from, kMsgFinishReply, reply, kControlWireBytes);
+  if (it != held_.end() && msg.commit) {
+    // Commit consumes the transaction's slot in the global order; the
+    // engine work happens through the held session.
+    if (Admit(msg.version, HeldCommitSlot{msg, m.from})) DrainOrderedBuffer();
     return;
   }
-  if (!msg.commit) {
+  FinishTxnReply reply;
+  reply.req_id = msg.req_id;
+  if (it != held_.end()) {
     engine_->ExecuteStmt(it->second.session, kRollbackTxn);
     engine_->Disconnect(it->second.session);
     held_.erase(it);
-    FinishTxnReply reply;
-    reply.req_id = msg.req_id;
-    dispatcher_->Send(m.from, kMsgFinishReply, reply, kControlWireBytes);
-    return;
+  } else if (msg.commit) {
+    // The held transaction died (killed by a conflicting apply or lost
+    // in a crash), but the transaction is certified: it must commit
+    // everywhere. Consume the version slot by applying the row images.
+    if (Admit(msg.version, EntrySlot{msg.entry})) DrainOrderedBuffer();
+    reply.version = msg.version;
+  } else {
+    reply.status =
+        Status::Aborted("held transaction was killed (apply conflict or crash)");
   }
-  // Commit consumes the transaction's slot in the global order.
-  ApplyMsg slot;
-  slot.entry.version = msg.version;
-  slot.skip = true;  // Engine work happens via the held session.
-  ordered_buffer_[msg.version] = std::move(slot);
-  ordered_arrival_[msg.version] = sim_->Now();
-  ordered_finish_[msg.version] = std::make_pair(msg, m.from);
-  DrainOrderedBuffer();
+  dispatcher_->Send(m.from, kMsgFinishReply, std::move(reply),
+                    kControlWireBytes);
 }
 
 // ---------------------------------------------------------------------------
 // Ordered replication stream
 
-bool ReplicaNode::EnqueueOrdered(ApplyMsg msg, net::NodeId from) {
-  GlobalVersion v = msg.entry.version;
-  if (v <= applied_version_ || v <= engine_applied_ ||
-      ordered_buffer_.count(v)) {
-    // Duplicate (e.g. resync replay overlapping the master's own ship).
-    if (msg.ack_requested) {
-      dispatcher_->Send(from, kMsgShipAck, ShipAckMsg{v}, kAckWireBytes);
+bool ReplicaNode::Admit(GlobalVersion v, SlotWork work) {
+  // engine_applied_ can run ahead of applied_version_ (timed completion
+  // pending): a duplicate in that window must not re-enter the stream, or
+  // it would sit below the drain cursor forever.
+  if (v <= applied_version_ || v <= engine_applied_) return false;
+  auto it = stream_.lower_bound(v);
+  if (it != stream_.end() && it->first == v) {
+    // A version fills its slot once (e.g. resync replay overlapping the
+    // master's own ship), but this replica's held commit takes over from
+    // a copy of its entry buffered at that version.
+    if (!std::holds_alternative<HeldCommitSlot>(work) ||
+        !std::holds_alternative<EntrySlot>(it->second.work)) {
+      return false;
     }
-    return false;
+    it->second = Slot{sim_->Now(), std::move(work)};
+    return true;
   }
-  if (msg.ack_requested) {
-    // Receipt ack (2-safe is about receipt, not application).
-    dispatcher_->Send(from, kMsgShipAck, ShipAckMsg{v}, kAckWireBytes);
-    msg.ack_requested = false;
-  }
-  ordered_buffer_[v] = std::move(msg);
-  ordered_arrival_[v] = sim_->Now();
+  stream_.emplace_hint(it, v, Slot{sim_->Now(), std::move(work)});
   return true;
 }
 
-void ReplicaNode::HandleShipBatch(const net::Message& m) {
+void ReplicaNode::HandleShipBatch(const net::Message& m,
+                                  const ship::ShipBatchMsg& batch) {
   if (crashed_) return;
   Result<std::vector<ship::IngestedEntry>> ingested = ship::IngestBatch(m);
   if (!ingested.ok()) return;  // Corrupt batch: counted, sender re-ships.
   // The batch envelope carries its send time: every entry inside spent
   // [sent_us, now] on the wire — per-entry net_transit on the apply path.
-  int64_t batch_sent_us = 0;
-  if (const auto* batch = std::any_cast<ship::ShipBatchMsg>(&m.body)) {
-    batch_sent_us = batch->sent_us;
-  }
   for (ship::IngestedEntry& ie : ingested.value()) {
-    ApplyMsg msg;
-    msg.entry = std::move(ie.entry);
-    msg.ack_requested = ie.ack_requested;
-    msg.group_follower = ie.group_follower;
-    GlobalVersion v = msg.entry.version;
-    int64_t origin_us = msg.entry.origin_commit_us;
+    GlobalVersion v = ie.entry.version;
+    int64_t origin_us = ie.entry.origin_commit_us;
     if (obs::CriticalPathEnabled() && origin_us > 0) {
       auto& cp = obs::CriticalPathCollector::Global();
       // Idempotent: normally opened sender-side at enqueue time; resync
       // paths that bypass the sender hook start the window here.
       cp.OpenChain(obs::ChainKind::kApply, v, static_cast<uint64_t>(id()),
                    origin_us);
-      if (batch_sent_us > 0 && sim_->Now() > batch_sent_us) {
+      if (batch.sent_us > 0 && sim_->Now() > batch.sent_us) {
         cp.RecordWait(obs::ChainKind::kApply, v, static_cast<uint64_t>(id()),
-                      obs::WaitState::kNetTransit, batch_sent_us, sim_->Now());
+                      obs::WaitState::kNetTransit, batch.sent_us, sim_->Now());
       }
     }
-    if (EnqueueOrdered(std::move(msg), m.from)) {
+    if (ie.ack_requested) {
+      // Receipt ack (2-safe is about receipt, not application), also for a
+      // duplicate.
+      dispatcher_->Send(m.from, kMsgShipAck, ShipAckMsg{v}, kAckWireBytes);
+    }
+    if (Admit(v, EntrySlot{std::move(ie.entry), ie.group_follower})) {
       // Credit matures when this entry is durably applied.
       pending_credits_.emplace(v, std::make_pair(m.from, ie.credit_bytes));
     } else {
@@ -592,166 +578,100 @@ void ReplicaNode::ReleaseCredits() {
 
 void ReplicaNode::DrainOrderedBuffer() {
   while (true) {
-    auto it = ordered_buffer_.find(engine_applied_ + 1);
-    if (it == ordered_buffer_.end()) break;
+    auto it = stream_.find(engine_applied_ + 1);
+    if (it == stream_.end()) break;
     GlobalVersion v = it->first;
-    ApplyMsg item = std::move(it->second);
-    ordered_buffer_.erase(it);
+    Slot slot = std::move(it->second);
+    stream_.erase(it);
     engine_applied_ = v;
 
     int64_t cost = 0;
     std::vector<std::string> conflict_keys;
-    ExecTxnReply exec_reply;
-    FinishTxnReply finish_reply;
-    net::NodeId reply_to = -1;
-    bool is_exec = false, is_finish = false;
+    // Only an applied entry carries its origin's commit time: exec and
+    // held-commit slots open no apply chain and record no apply lag.
+    int64_t origin_us = 0;
     uint64_t client_trace = 0;  ///< Client chain this slot resolves, if any.
+    net::NodeId reply_to = -1;
+    std::variant<std::monostate, ExecTxnReply, FinishTxnReply> reply;
 
-    auto exec_it = ordered_exec_.find(v);
-    auto fin_it = ordered_finish_.find(v);
-    if (exec_it != ordered_exec_.end()) {
+    if (auto* shipped = std::get_if<EntrySlot>(&slot.work)) {
+      // Replication-stream apply: write-ahead, then apply.
+      const ReplicationEntry& entry = shipped->entry;
+      DurableAppend(entry);
+      EntryApply outcome = ApplyEntry(
+          entry,
+          shipped->group_follower && apply_sched_.AmortizesGroupFollowers());
+      if (!outcome.status.ok()) {
+        ++apply_errors_;
+        ReplicaMetrics::Get().apply_errors->Increment();
+      }
+      cost = outcome.cost_us;
+      if (AppliesStatements(entry)) {
+        // Coarse conflict granularity for statement apply: whole stream.
+        conflict_keys.push_back("*");
+      } else {
+        conflict_keys = entry.writeset.ConflictKeys();
+      }
+      origin_us = entry.origin_commit_us;
+    } else if (auto* exec = std::get_if<ExecSlot>(&slot.work)) {
       // Ordered statement-mode transaction: re-execute here.
-      is_exec = true;
-      reply_to = exec_it->second.second;
-      ExecTxnMsg exec_msg = exec_it->second.first;
-      ordered_exec_.erase(exec_it);
-      exec_msg.hold_commit = false;
-      exec_msg.order = 0;
-      client_trace = exec_msg.trace_id;
+      ExecTxnMsg& msg = exec->msg;
+      msg.hold_commit = false;
+      client_trace = msg.trace_id;
+      reply_to = exec->reply_to;
       {
         // Write-ahead: the statements land in the durable log before the
-        // engine runs them, so a crash mid-apply replays this slot.
+        // engine runs them, so a crash mid-apply replays this slot. The
+        // log record borrows them.
         ReplicationEntry logged;
         logged.version = v;
-        logged.statements = exec_msg.statements;
+        logged.statements = std::move(msg.statements);
         logged.use_statements = true;
         logged.origin_commit_us = sim_->Now();
         DurableAppend(logged);
+        msg.statements = std::move(logged.statements);
       }
-      RunTransaction(exec_msg, reply_to, &exec_reply);
-      exec_reply.req_id = exec_msg.req_id;
+      ExecTxnReply exec_reply;
+      RunTransaction(msg, &exec_reply);
+      exec_reply.req_id = msg.req_id;
       cost = exec_reply.cost_us;
-      for (const std::string& k : exec_reply.writeset.ConflictKeys()) {
-        conflict_keys.push_back(k);
-      }
-    } else if (fin_it != ordered_finish_.end()) {
-      // Certification commit of a held transaction.
-      is_finish = true;
-      FinishTxnMsg fmsg = fin_it->second.first;
-      reply_to = fin_it->second.second;
-      ordered_finish_.erase(fin_it);
-      client_trace = fmsg.trace_id;
-      finish_reply.req_id = fmsg.req_id;
+      conflict_keys = exec_reply.writeset.ConflictKeys();
+      reply = std::move(exec_reply);
+    } else {
+      // Certification commit of this replica's held transaction.
+      HeldCommitSlot& commit = std::get<HeldCommitSlot>(slot.work);
+      FinishTxnMsg& msg = commit.msg;
+      client_trace = msg.trace_id;
+      reply_to = commit.reply_to;
+      FinishTxnReply finish_reply;
+      finish_reply.req_id = msg.req_id;
       finish_reply.version = v;
-      {
-        // Write-ahead of the certified row images under this slot's
-        // version (the entry may carry its origin-local version).
-        ReplicationEntry logged = fmsg.entry;
-        logged.version = v;
-        DurableAppend(logged);
-      }
-      auto hit = held_.find(fmsg.req_id);
+      // Write-ahead of the certified row images under this slot's
+      // version (the entry may carry its origin-local version).
+      msg.entry.version = v;
+      DurableAppend(msg.entry);
+      auto hit = held_.find(msg.req_id);
       if (hit == held_.end()) {
         // Held txn died after the slot was reserved: apply the certified
         // row images so the data still commits here.
         Result<engine::CommitSeq> applied =
-            engine_->ApplyWriteset(fmsg.entry.writeset);
+            engine_->ApplyWriteset(msg.entry.writeset);
         if (!applied.ok()) {
           ++apply_errors_;
           ReplicaMetrics::Get().apply_errors->Increment();
         }
-        cost = ApplyCost(fmsg.entry);
-        for (const std::string& k : fmsg.entry.writeset.ConflictKeys()) {
-          conflict_keys.push_back(k);
-        }
+        cost = ApplyCost(msg.entry);
+        conflict_keys = msg.entry.writeset.ConflictKeys();
       } else {
-        engine::ExecResult commit =
+        engine::ExecResult committed =
             engine_->ExecuteStmt(hit->second.session, kCommitTxn);
-        finish_reply.status = commit.status;
-        cost = commit.cost_us;
-        for (const std::string& k : hit->second.writeset.ConflictKeys()) {
-          conflict_keys.push_back(k);
-        }
+        finish_reply.status = committed.status;
+        cost = committed.cost_us;
+        conflict_keys = hit->second.writeset.ConflictKeys();
         engine_->Disconnect(hit->second.session);
         held_.erase(hit);
       }
-    } else if (!item.skip) {
-      // Replication-stream apply: write-ahead, then apply.
-      DurableAppend(item.entry);
-      const ReplicationEntry& entry = item.entry;
-      if (entry.use_statements || entry.writeset.empty() ||
-          entry.writeset.incomplete) {
-        Result<engine::SessionId> sid = engine_->Connect();
-        if (sid.ok()) {
-          engine_->ExecuteStmt(sid.value(), kBeginTxn);
-          bool entry_ok = true;
-          for (const std::string& stmt : entry.statements) {
-            engine::ExecResult r = engine_->Execute(sid.value(), stmt);
-            cost += r.cost_us;
-            if (!r.ok()) {
-              entry_ok = false;
-              break;
-            }
-          }
-          if (entry_ok) {
-            engine::ExecResult commit =
-                engine_->ExecuteStmt(sid.value(), kCommitTxn);
-            cost += commit.cost_us;
-          } else {
-            // Mirror live execution: a failing transaction rolls back in
-            // full everywhere, so deterministic aborts stay convergent.
-            engine_->ExecuteStmt(sid.value(), kRollbackTxn);
-            ++apply_errors_;
-            ReplicaMetrics::Get().apply_errors->Increment();
-          }
-          engine_->Disconnect(sid.value());
-        }
-        // Coarse conflict granularity for statement apply: whole stream.
-        conflict_keys.push_back("*");
-      } else {
-        Result<engine::CommitSeq> applied =
-            engine_->ApplyWriteset(entry.writeset);
-        if (!applied.ok() && applied.status().IsRetryableAbort() &&
-            !held_.empty()) {
-          // A local uncommitted (held) transaction blocks the certified
-          // apply. The replication stream wins: kill the held transactions
-          // whose writesets intersect this entry and retry. The victims
-          // would have failed certification against this entry anyway;
-          // their clients see a retryable abort.
-          std::set<std::string> entry_keys;
-          for (const std::string& k : entry.writeset.ConflictKeys()) {
-            entry_keys.insert(k);
-          }
-          for (auto hit = held_.begin(); hit != held_.end();) {
-            bool overlaps = false;
-            for (const std::string& k : hit->second.writeset.ConflictKeys()) {
-              if (entry_keys.count(k)) {
-                overlaps = true;
-                break;
-              }
-            }
-            if (overlaps) {
-              if (engine_->HasSession(hit->second.session)) {
-                engine_->ExecuteStmt(hit->second.session, kRollbackTxn);
-                engine_->Disconnect(hit->second.session);
-              }
-              hit = held_.erase(hit);
-            } else {
-              ++hit;
-            }
-          }
-          applied = engine_->ApplyWriteset(entry.writeset);
-        }
-        if (!applied.ok()) {
-          ++apply_errors_;
-          ReplicaMetrics::Get().apply_errors->Increment();
-        }
-        cost = ApplyCost(entry, item.group_follower &&
-                                    apply_sched_.AmortizesGroupFollowers());
-        for (const std::string& k : entry.writeset.ConflictKeys()) {
-          conflict_keys.push_back(k);
-        }
-      }
+      reply = std::move(finish_reply);
     }
 
     // The engine now holds exactly the effects of versions <= v: fire any
@@ -761,12 +681,7 @@ void ReplicaNode::DrainOrderedBuffer() {
 
     // --- Timing model ---
     sim::TimePoint now = sim_->Now();
-    sim::TimePoint arrival = now;
-    auto arr_it = ordered_arrival_.find(v);
-    if (arr_it != ordered_arrival_.end()) {
-      arrival = arr_it->second;
-      ordered_arrival_.erase(arr_it);
-    }
+    sim::TimePoint arrival = slot.arrival;
     // The scheduler decides when this entry's apply work runs (policy,
     // worker pool, conflict-key dependencies) and when its effects become
     // visible (in-order watermark). The engine already incorporated the
@@ -788,7 +703,6 @@ void ReplicaNode::DrainOrderedBuffer() {
     rm.apply_service_ms->Observe(sim::ToMillis(cost));
     rm.apply_commit_wait_ms->Observe(sim::ToMillis(completion - finish));
 
-    int64_t origin_us = item.entry.origin_commit_us;
     if (obs::CriticalPathEnabled()) {
       auto& cp = obs::CriticalPathCollector::Global();
       if (client_trace != 0) {
@@ -839,8 +753,8 @@ void ReplicaNode::DrainOrderedBuffer() {
     }
     uint64_t epoch = epoch_;
     sim_->ScheduleAt(
-        completion, [this, epoch, v, origin_us, is_exec, is_finish, exec_reply,
-                     finish_reply, reply_to, client_trace] {
+        completion, [this, epoch, v, origin_us, reply = std::move(reply),
+                     reply_to, client_trace]() mutable {
           if (epoch != epoch_ || crashed_) return;
           if (v > applied_version_) {
             applied_version_ = v;
@@ -861,25 +775,83 @@ void ReplicaNode::DrainOrderedBuffer() {
                   sim_->Now(), obs::ChainOutcome::kApplied);
             }
           }
-          if (is_exec && reply_to >= 0) {
-            dispatcher_->Send(reply_to, kMsgExecReply, exec_reply,
-                              exec_reply.writeset.SizeBytes() + 256,
+          if (auto* exec_reply = std::get_if<ExecTxnReply>(&reply)) {
+            int64_t bytes = exec_reply->writeset.SizeBytes() + 256;
+            dispatcher_->Send(reply_to, kMsgExecReply, std::move(*exec_reply),
+                              bytes, client_trace);
+          } else if (auto* finish_reply = std::get_if<FinishTxnReply>(&reply)) {
+            dispatcher_->Send(reply_to, kMsgFinishReply,
+                              std::move(*finish_reply), kControlWireBytes,
                               client_trace);
-          }
-          if (is_finish && reply_to >= 0) {
-            dispatcher_->Send(reply_to, kMsgFinishReply, finish_reply,
-                              kControlWireBytes, client_trace);
           }
         });
   }
-  // GC: drop conflict keys that can no longer delay anything, and sweep
-  // arrivals for versions already incorporated (belt-and-braces against
-  // duplicate-enqueue leaks) — both maps stay bounded over a long run.
+  // GC: drop conflict keys that can no longer delay anything, so the
+  // scheduler stays bounded over a long run.
   apply_sched_.PruneCompleted(sim_->Now());
-  ordered_arrival_.erase(ordered_arrival_.begin(),
-                         ordered_arrival_.upper_bound(engine_applied_));
-  backlog_gauge_->Set(static_cast<int64_t>(ordered_buffer_.size()));
+  backlog_gauge_->Set(static_cast<int64_t>(stream_.size()));
   sched_keys_gauge_->Set(static_cast<int64_t>(apply_sched_.tracked_keys()));
+}
+
+ReplicaNode::EntryApply ReplicaNode::ApplyEntry(const ReplicationEntry& entry,
+                                                bool group_follower) {
+  EntryApply out;
+  if (AppliesStatements(entry)) {
+    Result<engine::SessionId> sid = engine_->Connect();
+    if (!sid.ok()) return out;
+    engine_->ExecuteStmt(sid.value(), kBeginTxn);
+    for (const std::string& stmt : entry.statements) {
+      engine::ExecResult r = engine_->Execute(sid.value(), stmt);
+      out.cost_us += r.cost_us;
+      if (!r.ok()) {
+        out.status = r.status;
+        break;
+      }
+    }
+    if (out.status.ok()) {
+      out.cost_us += engine_->ExecuteStmt(sid.value(), kCommitTxn).cost_us;
+    } else {
+      // Mirror live execution: a failing transaction rolls back in full
+      // everywhere, so deterministic aborts stay convergent.
+      engine_->ExecuteStmt(sid.value(), kRollbackTxn);
+    }
+    engine_->Disconnect(sid.value());
+    return out;
+  }
+  Result<engine::CommitSeq> applied = engine_->ApplyWriteset(entry.writeset);
+  if (!applied.ok() && applied.status().IsRetryableAbort() && !held_.empty()) {
+    // A local uncommitted (held) transaction blocks the certified apply.
+    // The replication stream wins: kill the held transactions whose
+    // writesets intersect this entry and retry. The victims would have
+    // failed certification against this entry anyway; their clients see a
+    // retryable abort.
+    std::set<std::string> entry_keys;
+    for (const std::string& k : entry.writeset.ConflictKeys()) {
+      entry_keys.insert(k);
+    }
+    for (auto hit = held_.begin(); hit != held_.end();) {
+      bool overlaps = false;
+      for (const std::string& k : hit->second.writeset.ConflictKeys()) {
+        if (entry_keys.count(k)) {
+          overlaps = true;
+          break;
+        }
+      }
+      if (overlaps) {
+        if (engine_->HasSession(hit->second.session)) {
+          engine_->ExecuteStmt(hit->second.session, kRollbackTxn);
+          engine_->Disconnect(hit->second.session);
+        }
+        hit = held_.erase(hit);
+      } else {
+        ++hit;
+      }
+    }
+    applied = engine_->ApplyWriteset(entry.writeset);
+  }
+  if (!applied.ok()) out.status = applied.status();
+  out.cost_us = ApplyCost(entry, group_follower);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -1037,31 +1009,7 @@ void ReplicaNode::RecoverFromDurableLog(sim::TimePoint now) {
   while (cur.Next(&entry)) {
     if (entry.version <= v) continue;
     v = entry.version;
-    if (entry.use_statements || entry.writeset.empty() ||
-        entry.writeset.incomplete) {
-      Result<engine::SessionId> sid = engine_->Connect();
-      if (sid.ok()) {
-        engine_->ExecuteStmt(sid.value(), kBeginTxn);
-        bool entry_ok = true;
-        for (const std::string& stmt : entry.statements) {
-          engine::ExecResult r = engine_->Execute(sid.value(), stmt);
-          cost += r.cost_us;
-          if (!r.ok()) {
-            entry_ok = false;
-            break;
-          }
-        }
-        if (entry_ok) {
-          cost += engine_->ExecuteStmt(sid.value(), kCommitTxn).cost_us;
-        } else {
-          engine_->ExecuteStmt(sid.value(), kRollbackTxn);
-        }
-        engine_->Disconnect(sid.value());
-      }
-    } else {
-      (void)engine_->ApplyWriteset(entry.writeset);
-      cost += ApplyCost(entry);
-    }
+    cost += ApplyEntry(entry, /*group_follower=*/false).cost_us;
     ++replayed;
   }
   applied_version_ = v;
@@ -1189,9 +1137,8 @@ int64_t ReplicaNode::ApplyCost(const ReplicationEntry& entry,
 // ---------------------------------------------------------------------------
 // Backup / restore endpoints
 
-void ReplicaNode::HandleBackup(const net::Message& m) {
+void ReplicaNode::HandleBackup(const net::Message& m, const BackupMsg& msg) {
   if (crashed_) return;
-  auto msg = std::any_cast<BackupMsg>(m.body);
   Result<engine::BackupImage> image = engine_->Backup(msg.options);
   BackupReplyMsg reply;
   reply.req_id = msg.req_id;
@@ -1209,16 +1156,16 @@ void ReplicaNode::HandleBackup(const net::Message& m) {
   sim::TimePoint done = ChargeWorker(cost);
   uint64_t epoch = epoch_;
   net::NodeId from = m.from;
-  sim_->ScheduleAt(done, [this, epoch, from, reply] {
+  int64_t reply_bytes = reply.image.SizeBytes() + 128;
+  sim_->ScheduleAt(done, [this, epoch, from, reply = std::move(reply),
+                          reply_bytes]() mutable {
     if (epoch != epoch_ || crashed_) return;
-    dispatcher_->Send(from, kMsgBackupReply, reply,
-                      reply.image.SizeBytes() + 128);
+    dispatcher_->Send(from, kMsgBackupReply, std::move(reply), reply_bytes);
   });
 }
 
-void ReplicaNode::HandleRestore(const net::Message& m) {
+void ReplicaNode::HandleRestore(const net::Message& m, const RestoreMsg& msg) {
   if (crashed_) return;
-  auto msg = std::any_cast<RestoreMsg>(m.body);
   RestoreReplyMsg reply;
   reply.req_id = msg.req_id;
   reply.status = engine_->Restore(msg.image);
@@ -1232,14 +1179,7 @@ void ReplicaNode::HandleRestore(const net::Message& m) {
     // below the drain cursor now and would otherwise leak forever), and
     // restart the apply scheduler from a clean state — its conflict keys
     // and watermark described a stream this replica no longer continues.
-    ordered_buffer_.erase(ordered_buffer_.begin(),
-                          ordered_buffer_.upper_bound(msg.as_of_version));
-    ordered_arrival_.erase(ordered_arrival_.begin(),
-                           ordered_arrival_.upper_bound(msg.as_of_version));
-    ordered_exec_.erase(ordered_exec_.begin(),
-                        ordered_exec_.upper_bound(msg.as_of_version));
-    ordered_finish_.erase(ordered_finish_.begin(),
-                          ordered_finish_.upper_bound(msg.as_of_version));
+    stream_.erase(stream_.begin(), stream_.upper_bound(msg.as_of_version));
     apply_sched_.Reset(sim_->Now());
     sched_keys_gauge_->Set(0);
     // A log boundary at the restored image: a durable log re-baselines
@@ -1259,9 +1199,10 @@ void ReplicaNode::HandleRestore(const net::Message& m) {
   sim::TimePoint done = ChargeWorker(cost);
   uint64_t epoch = epoch_;
   net::NodeId from = m.from;
-  sim_->ScheduleAt(done, [this, epoch, from, reply] {
+  sim_->ScheduleAt(done, [this, epoch, from, reply = std::move(reply)]() mutable {
     if (epoch != epoch_ || crashed_) return;
-    dispatcher_->Send(from, kMsgRestoreReply, reply, kAdminWireBytes);
+    dispatcher_->Send(from, kMsgRestoreReply, std::move(reply),
+                      kAdminWireBytes);
   });
 }
 

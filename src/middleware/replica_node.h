@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "binlog/log_store.h"
@@ -80,20 +81,6 @@ struct ReplicaOptions {
   } binlog;
 };
 
-/// One slot of a replica's ordered replication stream: a shipped entry, a
-/// statement-mode write, or a certified transaction's version. Buffered
-/// in-process only; it never goes on the wire. `skip` marks the origin
-/// replica's own slot.
-struct ApplyMsg {
-  ReplicationEntry entry;
-  bool skip = false;
-  /// The receiver acks receipt to the sender (2-safe shipping).
-  bool ack_requested = false;
-  /// Entry arrived after the first of a shipped batch: its durable apply
-  /// shares the batch's group fsync (ReplicaOptions::apply_group_factor).
-  bool group_follower = false;
-};
-
 /// \brief A database replica: one Rdbms engine attached to a simulated
 /// cluster node, with a worker-pool queueing model, an ordered replication
 /// stream, master-side log shipping, and backup/restore endpoints.
@@ -117,8 +104,6 @@ class ReplicaNode {
 
   /// Highest global version incorporated into this replica's state.
   GlobalVersion applied_version() const { return applied_version_; }
-  /// Used when seeding a replica out-of-band (initial load, restore).
-  void set_applied_version(GlobalVersion v) { applied_version_ = v; }
 
   /// Nodes that receive this replica's committed entries (master role).
   void SetSubscribers(std::vector<net::NodeId> subscribers);
@@ -134,14 +119,9 @@ class ReplicaNode {
   /// e.g. loading the initial schema identically on every replica.
   engine::ExecResult AdminExec(const std::string& sql);
 
-  /// Number of entries shipped to subscribers so far.
-  GlobalVersion shipped_version() const { return last_shipped_; }
-  /// Entries committed locally but not yet shipped (loss window size).
-  uint64_t unshipped_entries() const;
-
   /// Versions queued in the ordered stream but not yet applied (lag in
   /// entries; the paper's master/slave lag, §2.2).
-  uint64_t apply_backlog() const { return ordered_buffer_.size(); }
+  uint64_t apply_backlog() const { return stream_.size(); }
 
   const ReplicaOptions& options() const { return options_; }
 
@@ -200,35 +180,74 @@ class ReplicaNode {
   struct HeldTxn {
     engine::SessionId session = 0;
     engine::Writeset writeset;
-    std::vector<std::string> statements;
-    net::NodeId from = -1;
   };
 
-  void HandleExec(const net::Message& m);
+  // A version's slot in the ordered replication stream holds exactly one
+  // of the next three. Slots never go on the wire.
+
+  /// An entry shipped by a master or the controller, or the certified
+  /// entry of a held transaction that died; applied here.
+  struct EntrySlot {
+    ReplicationEntry entry;
+    /// Arrived after the first of its shipped batch: its durable apply
+    /// shares the batch's group fsync (ReplicaOptions::apply_group_factor).
+    bool group_follower = false;
+  };
+  /// A statement-mode write, re-executed here; `reply_to` gets its reply.
+  struct ExecSlot {
+    ExecTxnMsg msg;
+    net::NodeId reply_to = -1;
+  };
+  /// This replica's held transaction, committed here once certified.
+  struct HeldCommitSlot {
+    FinishTxnMsg msg;
+    net::NodeId reply_to = -1;
+  };
+  using SlotWork = std::variant<EntrySlot, ExecSlot, HeldCommitSlot>;
+  struct Slot {
+    sim::TimePoint arrival = 0;  ///< Queue-wait stage start.
+    SlotWork work;
+  };
+
+  /// Outcome of applying one replication entry to the engine.
+  struct EntryApply {
+    /// The entry's own failure: a statement or its row images. A replica
+    /// that cannot open a session applies nothing and reports OK.
+    Status status;
+    int64_t cost_us = 0;  ///< Modelled apply cost.
+  };
+
+  void HandleExec(const net::Message& m, const ExecTxnMsg& msg);
   void StartUnorderedExec(const ExecTxnMsg& msg, net::NodeId from);
   void DrainWaitingReads();
   /// Applies the hot-table cache model; returns the adjusted cost.
   int64_t TouchCache(const std::vector<std::string>& tables, int64_t cost);
-  void HandleFinish(const net::Message& m);
-  void HandleShipBatch(const net::Message& m);
-  /// Queues one entry ingested from a ship batch into the ordered
-  /// stream, acking receipt when the sender asked for it. Returns false
-  /// for duplicates.
-  bool EnqueueOrdered(ApplyMsg msg, net::NodeId from);
+  void HandleFinish(const net::Message& m, const FinishTxnMsg& msg);
+  void HandleShipBatch(const net::Message& m, const ship::ShipBatchMsg& batch);
+  /// Admits `work` into the ordered stream at version `v`. A version at or
+  /// below the drain cursor, or one whose slot is already filled, is a
+  /// duplicate and is dropped (returns false) — except that this
+  /// replica's held commit replaces an entry buffered at its version.
+  bool Admit(GlobalVersion v, SlotWork work);
   /// Grants matured byte credits (entries applied up to applied_version_)
   /// back to their senders.
   void ReleaseCredits();
-  void HandleBackup(const net::Message& m);
-  void HandleRestore(const net::Message& m);
+  void HandleBackup(const net::Message& m, const BackupMsg& msg);
+  void HandleRestore(const net::Message& m, const RestoreMsg& msg);
 
   /// Runs statements in one engine transaction; fills reply fields.
   /// If hold_commit, leaves the transaction open in held_.
-  void RunTransaction(const ExecTxnMsg& msg, net::NodeId from,
-                      ExecTxnReply* reply);
+  void RunTransaction(const ExecTxnMsg& msg, ExecTxnReply* reply);
 
   /// Applies contiguous buffered versions to the engine and schedules
   /// their timed completions.
   void DrainOrderedBuffer();
+  /// Applies one entry: re-runs its statements in one transaction (rolled
+  /// back in full if one fails) or applies its row images. Serves the
+  /// live stream and crash replay; a held transaction in the way of the
+  /// row images is killed and the apply retried (only a live replica
+  /// holds any). `group_follower` amortizes the fixed apply cost.
+  EntryApply ApplyEntry(const ReplicationEntry& entry, bool group_follower);
 
   /// Charges `cost` against the unordered worker pool; returns completion
   /// time. `start_out`, when given, receives the service start time (the
@@ -295,11 +314,8 @@ class ReplicaNode {
   // completion (what the outside world observes).
   GlobalVersion applied_version_ = 0;
   GlobalVersion engine_applied_ = 0;
-  std::map<GlobalVersion, ApplyMsg> ordered_buffer_;
-  /// When each buffered version entered this node (queue-wait stage start).
-  std::map<GlobalVersion, sim::TimePoint> ordered_arrival_;
-  std::map<GlobalVersion, std::pair<ExecTxnMsg, net::NodeId>> ordered_exec_;
-  std::map<GlobalVersion, std::pair<FinishTxnMsg, net::NodeId>> ordered_finish_;
+  /// Buffered slots, one per version; the drain takes engine_applied_ + 1.
+  std::map<GlobalVersion, Slot> stream_;
   /// Timing/dependency model for the ordered stream: worker pool,
   /// conflict-key graph, barrier horizon, in-order visibility watermark.
   ApplyScheduler apply_sched_;

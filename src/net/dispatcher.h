@@ -1,11 +1,13 @@
 #ifndef REPLIDB_NET_DISPATCHER_H_
 #define REPLIDB_NET_DISPATCHER_H_
 
+#include <any>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/hashing.h"
+#include "common/logging.h"
 #include "net/network.h"
 
 namespace replidb::net {
@@ -38,8 +40,17 @@ class Dispatcher {
     handlers_[type].push_back(std::move(handler));
   }
 
-  /// Removes all handlers for a type (e.g. component being upgraded).
-  void Off(const std::string& type) { handlers_.erase(type); }
+  /// Subscribes `handler(message, body)` to messages of `type`, handing it
+  /// the body in place as a `const T&`. A handler copies only what it
+  /// keeps past its return. A body of any other type is a sender bug.
+  template <typename T, typename F>
+  void On(const std::string& type, F handler) {
+    On(type, [handler = std::move(handler)](const Message& m) {
+      const T* body = std::any_cast<T>(&m.body);
+      REPLIDB_CHECK(body != nullptr, "message body has the wrong type");
+      handler(m, *body);
+    });
+  }
 
   /// Sends from this node. `size_bytes` is the payload's wire size and
   /// must be positive; `txn` optionally tags the transaction served for

@@ -47,8 +47,8 @@ void RecordSuspicion(const char* detector, NodeId watcher, NodeId target,
 HeartbeatResponder::HeartbeatResponder(sim::Simulator* sim,
                                        Dispatcher* dispatcher)
     : sim_(sim), dispatcher_(dispatcher) {
-  dispatcher_->On(kHbPing, [this](const Message& m) {
-    auto body = std::any_cast<PingBody>(m.body);
+  dispatcher_->On<PingBody>(kHbPing, [this](const Message& m,
+                                            const PingBody& body) {
     NodeId from = m.from;
     uint64_t seq = body.seq;
     if (response_delay_ > 0) {
@@ -68,7 +68,10 @@ HeartbeatDetector::HeartbeatDetector(sim::Simulator* sim,
                                      Dispatcher* dispatcher,
                                      HeartbeatOptions options)
     : sim_(sim), dispatcher_(dispatcher), options_(options) {
-  dispatcher_->On(kHbAck, [this](const Message& m) { HandleAck(m); });
+  dispatcher_->On<AckBody>(kHbAck, [this](const Message& m,
+                                          const AckBody& body) {
+    HandleAck(m.from, body.seq);
+  });
   ticker_ = std::make_unique<sim::PeriodicTask>(sim_, options_.period,
                                                 [this] { Tick(); });
   ticker_->StartAfter(0);
@@ -103,14 +106,13 @@ void HeartbeatDetector::Tick() {
   }
 }
 
-void HeartbeatDetector::HandleAck(const Message& m) {
-  auto it = watched_.find(m.from);
+void HeartbeatDetector::HandleAck(NodeId from, uint64_t seq) {
+  auto it = watched_.find(from);
   if (it == watched_.end()) return;
-  auto body = std::any_cast<AckBody>(m.body);
   Watched& w = it->second;
-  if (body.seq > w.acked_seq) w.acked_seq = body.seq;
+  if (seq > w.acked_seq) w.acked_seq = seq;
   w.consecutive_misses = 0;
-  if (w.suspect) SetSuspect(m.from, false);
+  if (w.suspect) SetSuspect(from, false);
 }
 
 void HeartbeatDetector::SetSuspect(NodeId target, bool suspect) {
@@ -134,8 +136,8 @@ void HeartbeatDetector::SetSuspect(NodeId target, bool suspect) {
 TcpKeepAliveResponder::TcpKeepAliveResponder(Dispatcher* dispatcher)
     : dispatcher_(dispatcher) {
   // The kernel answers instantly regardless of application load.
-  dispatcher_->On(kKaProbe, [this](const Message& m) {
-    auto body = std::any_cast<PingBody>(m.body);
+  dispatcher_->On<PingBody>(kKaProbe, [this](const Message& m,
+                                             const PingBody& body) {
     dispatcher_->Send(m.from, kKaAck, AckBody{body.seq}, kProbeWireBytes);
   });
 }

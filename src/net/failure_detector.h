@@ -88,7 +88,7 @@ class HeartbeatDetector : public FailureDetector {
   };
 
   void Tick();
-  void HandleAck(const Message& m);
+  void HandleAck(NodeId from, uint64_t seq);
   void SetSuspect(NodeId target, bool suspect);
 
   sim::Simulator* sim_;

@@ -153,6 +153,30 @@ TEST_F(EngineEdgeTest, IntegerOverflowIsAStatementError) {
   EXPECT_EQ(Must("SELECT a FROM t WHERE id = 9").rows[0][0].AsInt(), INT64_MIN);
 }
 
+TEST_F(EngineEdgeTest, IntegerSumIsExact) {
+  // 2^53 + 1 has no double: a double accumulator returns 2^53.
+  Must("CREATE TABLE big (id INT PRIMARY KEY, v INT)");
+  Must("INSERT INTO big VALUES (1, 9007199254740993), (2, 0)");
+  ExecResult r = Must("SELECT SUM(v), AVG(v) FROM big");
+  EXPECT_EQ(r.rows[0][0].type(), sql::ValueType::kInt);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 9007199254740993);
+  EXPECT_DOUBLE_EQ(r.rows[0][1].AsDouble(), 9007199254740993.0 / 2);
+  // Mixed INT/DOUBLE input keeps the double sum.
+  EXPECT_DOUBLE_EQ(Must("SELECT SUM(a + b) FROM t").rows[0][0].AsDouble(),
+                   11.5);
+}
+
+TEST_F(EngineEdgeTest, IntegerSumOverflowIsAStatementError) {
+  Must("CREATE TABLE big (id INT PRIMARY KEY, v INT)");
+  Must("INSERT INTO big VALUES (1, 9223372036854775807), (2, 1)");
+  ExecResult r = Exec("SELECT SUM(v) FROM big");
+  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.status.message(), "integer out of range");
+  // AVG keeps the double accumulator and does not overflow.
+  EXPECT_DOUBLE_EQ(Must("SELECT AVG(v) FROM big").rows[0][0].AsDouble(),
+                   9223372036854775808.0 / 2);
+}
+
 TEST_F(EngineEdgeTest, UpdateMatchingNothingAffectsZero) {
   ExecResult r = Must("UPDATE t SET a = 1 WHERE id = 999");
   EXPECT_EQ(r.affected, 0);

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <any>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "middleware/cluster.h"
+#include "net/dispatcher.h"
+#include "obs/metrics.h"
+#include "ship/pipeline.h"
 #include "workload/load_generator.h"
 #include "workload/workloads.h"
 
@@ -632,6 +636,247 @@ TEST(EndToEndTest, TicketBrokerWorkloadRunsCleanAndConverges) {
   c.sim.RunFor(5 * kSecond);
   EXPECT_TRUE(c.Converged());
   EXPECT_GT(stats.latency_ms.Mean(), 0.0);
+}
+
+
+// --- Ordered replication stream ---------------------------------------------
+//
+// One replica driven by a scripted peer: the peer ships entries, sends
+// statement-mode and certification messages, and records what comes back.
+
+class OrderedStreamTest : public ::testing::Test {
+ protected:
+  static constexpr net::NodeId kReplica = 1;
+  static constexpr net::NodeId kPeer = 9;
+
+  void SetUp() override {
+    network_ = std::make_unique<net::Network>(&sim_);
+    engine::RdbmsOptions eopts;
+    eopts.name = "stream-replica";
+    replica_ = std::make_unique<ReplicaNode>(&sim_, network_.get(), kReplica,
+                                             eopts);
+    replica_->AdminExec("CREATE TABLE kv (id INT PRIMARY KEY, v INT)");
+    replica_->AdminExec("INSERT INTO kv VALUES (1, 1), (2, 2)");
+    replica_->MarkSetupComplete();
+    base_ = replica_->applied_version();
+    peer_ = std::make_unique<net::Dispatcher>(network_.get(), kPeer);
+    peer_->On(kMsgExecReply, [this](const net::Message& m) {
+      exec_replies_.push_back(*std::any_cast<ExecTxnReply>(&m.body));
+    });
+    peer_->On(kMsgFinishReply, [this](const net::Message& m) {
+      finish_replies_.push_back(*std::any_cast<FinishTxnReply>(&m.body));
+    });
+    peer_->On(kMsgShipAck, [this](const net::Message& m) {
+      acks_.push_back(std::any_cast<ShipAckMsg>(&m.body)->version);
+    });
+    peer_->On(ship::kMsgShipCredit, [this](const net::Message& m) {
+      credit_bytes_ += std::any_cast<ship::ShipCreditMsg>(&m.body)->bytes;
+    });
+    sim_.RunFor(10 * kMillisecond);  // Nonzero origin times from here on.
+  }
+
+  /// Ships one statement entry at base_ + `offset` in its own batch.
+  void Ship(GlobalVersion offset, const std::string& sql, bool ack = false) {
+    ReplicationEntry e;
+    e.version = base_ + offset;
+    e.statements = {sql};
+    e.use_statements = true;
+    e.origin_commit_us = sim_.Now();
+    ship::ShipBatchMsg batch;
+    batch.entries.push_back(e);
+    if (ack) batch.ack_versions.push_back(e.version);
+    batch.sent_us = sim_.Now();
+    peer_->Send(kReplica, ship::kMsgShipBatch, batch, kShipBytes);
+  }
+
+  /// Sends a statement-mode ordered write for slot base_ + `offset`.
+  void Exec(uint64_t req, GlobalVersion offset, const std::string& sql) {
+    ExecTxnMsg msg;
+    msg.req_id = req;
+    msg.statements = {sql};
+    msg.order = offset == 0 ? 0 : base_ + offset;
+    msg.hold_commit = offset == 0;  // Unordered: a certification write.
+    peer_->Send(kReplica, kMsgExec, msg, ExecMsgWireSize(msg));
+  }
+
+  /// Commits held transaction `req` in slot base_ + `offset`.
+  void CommitHeld(uint64_t req, GlobalVersion offset) {
+    FinishTxnMsg msg;
+    msg.req_id = req;
+    msg.commit = true;
+    msg.version = base_ + offset;
+    msg.entry.version = msg.version;
+    msg.entry.origin_commit_us = sim_.Now();
+    peer_->Send(kReplica, kMsgFinish, msg, kControlWireBytes);
+  }
+
+  int64_t Value(int id) {
+    engine::ExecResult r = replica_->AdminExec(
+        "SELECT v FROM kv WHERE id = " + std::to_string(id));
+    EXPECT_TRUE(r.ok() && r.rows.size() == 1) << r.status.ToString();
+    return r.ok() && r.rows.size() == 1 ? r.rows[0][0].AsInt() : -1;
+  }
+
+  static size_t LagSamples() {
+    return obs::MetricsRegistry::Global()
+        .GetHistogram("replica.apply.lag_ms")
+        ->count();
+  }
+
+  void Run() { sim_.RunFor(500 * kMillisecond); }
+
+  static constexpr int64_t kShipBytes = 200;
+
+  sim::Simulator sim_;
+  std::unique_ptr<net::Network> network_;
+  std::unique_ptr<ReplicaNode> replica_;
+  std::unique_ptr<net::Dispatcher> peer_;
+  GlobalVersion base_ = 0;
+  std::vector<ExecTxnReply> exec_replies_;
+  std::vector<FinishTxnReply> finish_replies_;
+  std::vector<GlobalVersion> acks_;
+  int64_t credit_bytes_ = 0;
+};
+
+TEST_F(OrderedStreamTest, ShippedEntriesApplyInVersionOrder) {
+  size_t lag_before = LagSamples();
+  Ship(3, "UPDATE kv SET v = v + 5 WHERE id = 1");
+  Ship(2, "UPDATE kv SET v = v * 10 WHERE id = 1");
+  Run();
+  EXPECT_EQ(replica_->apply_backlog(), 2u) << "gap at base+1 must hold both";
+  EXPECT_EQ(Value(1), 1);
+  Ship(1, "UPDATE kv SET v = 4 WHERE id = 1");
+  Run();
+  EXPECT_EQ(replica_->apply_backlog(), 0u);
+  EXPECT_EQ(replica_->applied_version(), base_ + 3);
+  EXPECT_EQ(Value(1), 45) << "(4 * 10) + 5: applied in version order";
+  EXPECT_EQ(replica_->apply_errors(), 0u);
+  EXPECT_EQ(LagSamples(), lag_before + 3) << "each applied entry has a lag";
+  EXPECT_EQ(credit_bytes_, 3 * kShipBytes) << "credits mature on apply";
+}
+
+TEST_F(OrderedStreamTest, ShippedDuplicateIsAckedAndRefundedNotReapplied) {
+  Ship(1, "UPDATE kv SET v = v + 5 WHERE id = 1");
+  Run();
+  ASSERT_EQ(Value(1), 6);
+  credit_bytes_ = 0;
+  Ship(1, "UPDATE kv SET v = v + 5 WHERE id = 1", /*ack=*/true);
+  Ship(2, "UPDATE kv SET v = v + 1 WHERE id = 2", /*ack=*/false);
+  Ship(4, "UPDATE kv SET v = v + 1 WHERE id = 2", /*ack=*/false);
+  Run();
+  EXPECT_EQ(Value(1), 6) << "a duplicate must not apply twice";
+  EXPECT_EQ(acks_, std::vector<GlobalVersion>{base_ + 1});
+  // The duplicate's credit comes back at once, the applied entry's on
+  // apply; base+4 is buffered behind a gap, so its credit is still owed.
+  EXPECT_EQ(credit_bytes_, 2 * kShipBytes);
+  EXPECT_EQ(replica_->apply_backlog(), 1u);
+}
+
+TEST_F(OrderedStreamTest, ExecSlotsRunInOrderAndReplyAtCompletion) {
+  size_t lag_before = LagSamples();
+  Exec(2, 2, "UPDATE kv SET v = v * 10 WHERE id = 1");
+  Run();
+  EXPECT_TRUE(exec_replies_.empty()) << "slot base+2 waits for base+1";
+  EXPECT_EQ(replica_->apply_backlog(), 1u);
+  Exec(1, 1, "UPDATE kv SET v = 4 WHERE id = 1");
+  Run();
+  ASSERT_EQ(exec_replies_.size(), 2u);
+  EXPECT_EQ(exec_replies_[0].req_id, 1u);
+  EXPECT_EQ(exec_replies_[1].req_id, 2u);
+  EXPECT_TRUE(exec_replies_[0].status.ok());
+  EXPECT_TRUE(exec_replies_[1].status.ok());
+  EXPECT_EQ(Value(1), 40);
+  EXPECT_EQ(replica_->apply_backlog(), 0u);
+  EXPECT_EQ(replica_->applied_version(), base_ + 2);
+  EXPECT_EQ(LagSamples(), lag_before) << "exec slots record no apply lag";
+}
+
+TEST_F(OrderedStreamTest, HeldCommitReplacesBufferedShippedEntry) {
+  size_t lag_before = LagSamples();
+  Exec(7, 0, "UPDATE kv SET v = 100 WHERE id = 1");  // Held, uncommitted.
+  Run();
+  ASSERT_EQ(exec_replies_.size(), 1u);
+  ASSERT_TRUE(exec_replies_[0].status.ok());
+  // A copy of the certified entry reaches the origin first (e.g. resync
+  // replay), then the origin's own commit for the same slot.
+  Ship(2, "UPDATE kv SET v = 999 WHERE id = 1");
+  Run();
+  CommitHeld(7, 2);
+  Run();
+  EXPECT_EQ(replica_->apply_backlog(), 1u);
+  EXPECT_TRUE(finish_replies_.empty());
+  Ship(1, "UPDATE kv SET v = v + 1 WHERE id = 2");
+  Run();
+  ASSERT_EQ(finish_replies_.size(), 1u);
+  EXPECT_EQ(finish_replies_[0].req_id, 7u);
+  EXPECT_TRUE(finish_replies_[0].status.ok());
+  EXPECT_EQ(finish_replies_[0].version, base_ + 2);
+  EXPECT_EQ(Value(1), 100) << "the held session committed the slot";
+  EXPECT_EQ(Value(2), 3);
+  EXPECT_EQ(replica_->apply_errors(), 0u);
+  EXPECT_EQ(replica_->apply_backlog(), 0u);
+  EXPECT_EQ(LagSamples(), lag_before + 1)
+      << "only the shipped entry at base+1 records apply lag";
+}
+
+TEST_F(OrderedStreamTest, RestoreDropsSupersededSlotsOfEveryKind) {
+  Exec(7, 0, "UPDATE kv SET v = 100 WHERE id = 1");  // Held, uncommitted.
+  Run();
+  ASSERT_EQ(exec_replies_.size(), 1u);
+  // Gap at base+1; base+2..4 are superseded by the image, base+5..6 not.
+  Ship(2, "UPDATE kv SET v = 222 WHERE id = 2");
+  Exec(3, 3, "UPDATE kv SET v = 333 WHERE id = 2");
+  CommitHeld(7, 4);
+  Ship(5, "UPDATE kv SET v = v + 1 WHERE id = 2");
+  Exec(6, 6, "UPDATE kv SET v = v * 10 WHERE id = 2");
+  Run();
+  ASSERT_EQ(replica_->apply_backlog(), 5u);
+  // A restore needs every session closed: roll the held transaction back.
+  // Its commit slot stays buffered.
+  FinishTxnMsg abort_msg;
+  abort_msg.req_id = 7;
+  peer_->Send(kReplica, kMsgFinish, abort_msg, kControlWireBytes);
+  Run();
+  ASSERT_EQ(finish_replies_.size(), 1u);
+  ASSERT_EQ(replica_->apply_backlog(), 5u);
+
+  engine::BackupOptions bo;
+  bo.include_metadata = true;
+  bo.include_sequences = true;
+  Result<engine::BackupImage> image = replica_->engine()->Backup(bo);
+  ASSERT_TRUE(image.ok());
+  RestoreMsg restore;
+  restore.req_id = 42;
+  restore.image = image.TakeValue();
+  restore.as_of_version = base_ + 4;
+  int64_t bytes = restore.image.SizeBytes() + 128;
+  peer_->Send(kReplica, kMsgRestore, restore, bytes);
+  Run();
+  EXPECT_EQ(replica_->apply_backlog(), 0u);
+  EXPECT_EQ(replica_->applied_version(), base_ + 6);
+  EXPECT_EQ(Value(2), 30) << "(2 + 1) * 10: only the slots above the image";
+  ASSERT_EQ(exec_replies_.size(), 2u);
+  EXPECT_EQ(exec_replies_[1].req_id, 6u) << "the dropped exec slot is silent";
+  EXPECT_EQ(finish_replies_.size(), 1u) << "the dropped held commit is silent";
+}
+
+TEST_F(OrderedStreamTest, CrashRestartLeavesNoSlot) {
+  Exec(7, 0, "UPDATE kv SET v = 100 WHERE id = 1");  // Held, uncommitted.
+  Run();
+  Ship(2, "UPDATE kv SET v = 222 WHERE id = 2");
+  Exec(3, 3, "UPDATE kv SET v = 333 WHERE id = 2");
+  CommitHeld(7, 4);
+  Run();
+  ASSERT_EQ(replica_->apply_backlog(), 3u);
+  replica_->Crash();
+  replica_->Restart();
+  EXPECT_EQ(replica_->apply_backlog(), 0u);
+  Ship(1, "UPDATE kv SET v = v + 1 WHERE id = 2");
+  Run();
+  EXPECT_EQ(replica_->apply_backlog(), 0u);
+  EXPECT_EQ(replica_->applied_version(), base_ + 1)
+      << "slots buffered before the crash must not drain after it";
+  EXPECT_EQ(Value(2), 3);
 }
 
 }  // namespace

@@ -85,7 +85,8 @@ TEST_F(ReplicheckTest, ListRulesExitsZero) {
   for (const char* rule :
        {"raw-rng", "wall-clock", "addr-identity", "unordered-iter",
         "send-size", "raw-mutex", "lock-rank", "codec-registry",
-        "wait-state", "raw-io", "lock-graph", "dead-rank", "det-taint"}) {
+        "wait-state", "raw-io", "any-copy", "lock-graph", "dead-rank",
+        "det-taint"}) {
     EXPECT_NE(r.output.find(rule), std::string::npos)
         << "rule " << rule << " missing from --list-rules\n" << r.output;
   }
@@ -412,6 +413,55 @@ TEST_F(ReplicheckTest, RawIoOutsideSrcIsNotChecked) {
             "void F() { std::FILE* f = fopen(\"/tmp/x\", \"w\"); (void)f; }\n");
   RunResult r = Run();
   EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+// --- any-copy --------------------------------------------------------------
+
+TEST_F(ReplicheckTest, ByValueBodyCastIsFlagged) {
+  WriteFile("src/middleware/handler.cc", R"cc(
+#include <any>
+void Handle(const net::Message& m) {
+  auto reply = std::any_cast<ExecTxnReply>(m.body);
+  Use(reply);
+}
+)cc");
+  RunResult r = Run();
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("[any-copy]"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("handler.cc:4"), std::string::npos) << r.output;
+}
+
+TEST_F(ReplicheckTest, PointerAndReferenceBodyCastsAreClean) {
+  WriteFile("src/middleware/handler.cc", R"cc(
+#include <any>
+void Handle(const net::Message& m) {
+  const auto* batch = std::any_cast<ShipBatchMsg>(&m.body);
+  const auto& reply = std::any_cast<const ExecTxnReply&>(m.body);
+  auto copy = std::any_cast<Options>(config_any);
+  Use(batch, reply, copy);
+}
+)cc");
+  // Outside src/ (benches, tests) a copied body is the caller's business.
+  WriteFile("bench/util.h",
+            "auto r = std::any_cast<ExecTxnReply>(m.body);\n");
+  RunResult r = Run();
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+TEST_F(ReplicheckTest, WaivedBodyCopyIsSuppressed) {
+  WriteFile("src/net/probe.cc", R"cc(
+#include <any>
+void Handle(const net::Message& m) {
+  // replicheck:allow(any-copy) the body is one integer
+  auto probe = std::any_cast<ProbeBody>(m.body);
+  Use(probe);
+}
+)cc");
+  RunResult r = Run();
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("1 suppressed by 1 allow directive (0 unused)"),
+            std::string::npos)
+      << r.output;
 }
 
 // --- codec-registry --------------------------------------------------------

@@ -43,6 +43,9 @@
 //                  sites name typed obs::WaitState enum values.
 //   raw-io         raw POSIX/stdio file I/O outside src/binlog — durable
 //                  bytes must flow through binlog::LogStore.
+//   any-copy       a by-value std::any_cast<...>(....body) in src/ — a
+//                  handler reads its message body in place and copies
+//                  only what it keeps.
 //
 // Flow passes (interprocedural, over src/ function summaries; see
 // lock_graph.h and det_taint.h):
@@ -87,8 +90,8 @@ using replicheck::Finding;
 const char* const kAllRules[] = {
     "raw-rng",    "wall-clock", "addr-identity", "unordered-iter",
     "send-size",  "codec-registry", "raw-mutex", "lock-rank",
-    "wait-state", "raw-io",     "lock-graph",    "dead-rank",
-    "det-taint",
+    "wait-state", "raw-io",     "any-copy",      "lock-graph",
+    "dead-rank",  "det-taint",
 };
 
 std::string JsonEscape(const std::string& s) {

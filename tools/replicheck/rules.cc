@@ -327,6 +327,55 @@ void CheckRawIo(SourceFile& f, Reporter& rep) {
   }
 }
 
+void CheckAnyCopy(SourceFile& f, Reporter& rep) {
+  // A message body is read in place: net::Dispatcher::On<T> hands the
+  // handler a const T&. A by-value std::any_cast of `.body` deep-copies
+  // the whole body (a writeset, a row set, a table image) on every
+  // delivery, and a handler should copy only what it keeps.
+  if (!StartsWith(f.rel_path, "src/")) return;
+  const auto& t = f.tokens;
+  for (size_t i = 0; i + 1 < t.size(); ++i) {
+    if (t[i].kind != Token::kIdent || t[i].text != "any_cast" ||
+        t[i + 1].text != "<") {
+      continue;
+    }
+    int depth = 0;
+    size_t close_tmpl = 0;
+    for (size_t j = i + 1; j < t.size(); ++j) {
+      if (t[j].text == "<") {
+        ++depth;
+      } else if (t[j].text == ">" && --depth == 0) {
+        close_tmpl = j;
+        break;
+      }
+    }
+    if (close_tmpl == 0 || close_tmpl + 2 >= t.size() ||
+        t[close_tmpl + 1].text != "(") {
+      continue;
+    }
+    // any_cast<const T&>(...) binds a reference, and any_cast<T>(&...)
+    // returns a pointer: neither copies.
+    if (t[close_tmpl - 1].text == "&" || t[close_tmpl + 2].text == "&") {
+      continue;
+    }
+    int parens = 0;
+    size_t close_arg = 0;
+    for (size_t j = close_tmpl + 1; j < t.size(); ++j) {
+      if (t[j].text == "(") {
+        ++parens;
+      } else if (t[j].text == ")" && --parens == 0) {
+        close_arg = j;
+        break;
+      }
+    }
+    if (close_arg == 0 || t[close_arg - 1].text != "body") continue;
+    rep.Flag(f.rel_path, t[i].line, "any-copy",
+             "by-value std::any_cast of a message body copies all of it — "
+             "read it in place (net::Dispatcher::On<T> hands a const T&) "
+             "and copy only what the handler keeps");
+  }
+}
+
 void CheckCodecRegistry(Tree& tree, Reporter& rep) {
   SourceFile* msgs = tree.Find("src/middleware/messages.h");
   SourceFile* reg = tree.Find("src/middleware/wire_registry.h");
@@ -371,6 +420,7 @@ void RunTokenRules(Tree& tree, const std::set<std::string>& declared_ranks,
     CheckLockRanks(f, declared_ranks, rep);
     CheckWaitState(f, rep);
     CheckRawIo(f, rep);
+    CheckAnyCopy(f, rep);
   }
   CheckCodecRegistry(tree, rep);
 }

@@ -1,7 +1,7 @@
 // The original per-file token rules (raw-rng, wall-clock, addr-identity,
 // unordered-iter, send-size, codec-registry, raw-mutex, lock-rank,
-// wait-state, raw-io), ported onto the shared Tree/Reporter model. The
-// flow-aware passes live in lock_graph.h and det_taint.h.
+// wait-state, raw-io, any-copy), ported onto the shared Tree/Reporter
+// model. The flow-aware passes live in lock_graph.h and det_taint.h.
 
 #ifndef REPLICHECK_RULES_H_
 #define REPLICHECK_RULES_H_
