@@ -4,9 +4,14 @@
 // certification throughput, the durable binlog (CRC framing, append,
 // ship cursor, checkpoint) and the simulator's event queue. These are
 // wall-clock benchmarks of the actual implementation (no simulated time).
+// The ship codec and binlog append cases also report heap allocations per
+// item, counted by the operator new below.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "binlog/format.h"
@@ -20,8 +25,35 @@
 #include "sql/determinism.h"
 #include "sql/parser.h"
 
+namespace {
+uint64_t g_allocs = 0;  // operator new calls; the benchmarks run on one thread.
+}  // namespace
+
+// Counting allocator (this binary only). The library's array, nothrow and
+// sized forms forward to these. Not inlined: GCC would see the free() of a
+// pointer it knows came from operator new and warn of a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace replidb {
 namespace {
+
+/// Reports heap allocations per item as the "allocs_per_item" counter:
+/// call with g_allocs read just before the timed loop.
+void ReportAllocsPerItem(benchmark::State& state, uint64_t allocs_before,
+                         int64_t items) {
+  state.counters["allocs_per_item"] =
+      items > 0 ? static_cast<double>(g_allocs - allocs_before) /
+                      static_cast<double>(items)
+                : 0;
+}
 
 // --- SQL layer --------------------------------------------------------------
 
@@ -294,18 +326,28 @@ BENCHMARK(BM_RecoveryLogAppendAndRange);
 
 // --- Durable binlog -----------------------------------------------------------
 
+/// Gives a BinlogBenchEntry the fields of version `v`. Only integers
+/// change, so refreshing an entry in place allocates nothing.
+void SetBinlogBenchVersion(middleware::GlobalVersion v,
+                           middleware::ReplicationEntry* e) {
+  e->version = v;
+  e->origin_commit_us = static_cast<int64_t>(v) * 137;
+  engine::WriteOp& op = e->writeset.ops[0];
+  op.primary_key = sql::Value::Int(static_cast<int64_t>(v % 20000));
+  op.after[0] = op.primary_key;
+  op.after[1] = sql::Value::Int(static_cast<int64_t>(v));
+}
+
 middleware::ReplicationEntry BinlogBenchEntry(middleware::GlobalVersion v) {
   middleware::ReplicationEntry e;
-  e.version = v;
-  e.origin_commit_us = static_cast<int64_t>(v) * 137;
   engine::WriteOp op;
   op.kind = engine::WriteOpKind::kUpdate;
   op.database = "bank";
   op.table = "accounts";
-  op.primary_key = sql::Value::Int(static_cast<int64_t>(v % 20000));
-  op.after = {op.primary_key, sql::Value::Int(static_cast<int64_t>(v)),
+  op.after = {sql::Value::Null(), sql::Value::Null(),
               sql::Value::String("account holder")};
   e.writeset.ops.push_back(std::move(op));
+  SetBinlogBenchVersion(v, &e);
   return e;
 }
 
@@ -328,13 +370,17 @@ void BM_BinlogAppend(benchmark::State& state) {
   binlog::MemLogStore store;
   binlog::SegmentedBinlog log(&store, binlog::SegmentedLogOptions{});
   middleware::GlobalVersion v = 0;
+  middleware::ReplicationEntry entry = BinlogBenchEntry(0);
+  const uint64_t allocs = g_allocs;
   for (auto _ : state) {
-    auto s = log.Append(BinlogBenchEntry(++v));
+    SetBinlogBenchVersion(++v, &entry);
+    auto s = log.Append(entry);
     benchmark::DoNotOptimize(s);
     // Bound memory: drop sealed segments as a checkpointing replica would.
     if (v % 4096 == 0) log.TruncateThrough(v - 1024);
   }
   state.SetItemsProcessed(state.iterations());
+  ReportAllocsPerItem(state, allocs, state.iterations());
 }
 BENCHMARK(BM_BinlogAppend);
 
@@ -501,6 +547,7 @@ std::vector<middleware::ReplicationEntry> ShipBenchBatch(int n) {
 void BM_ShipEncodeBatch(benchmark::State& state) {
   auto batch = ShipBenchBatch(static_cast<int>(state.range(0)));
   int64_t raw = 0, wire = 0;
+  const uint64_t allocs = g_allocs;
   for (auto _ : state) {
     ship::EncodedBatch enc = ship::EncodeBatch(batch, ship::CodecOptions{});
     raw = enc.raw_size_bytes;
@@ -508,6 +555,7 @@ void BM_ShipEncodeBatch(benchmark::State& state) {
     benchmark::DoNotOptimize(enc);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
+  ReportAllocsPerItem(state, allocs, state.iterations() * state.range(0));
   state.counters["compression"] =
       wire > 0 ? static_cast<double>(raw) / static_cast<double>(wire) : 0;
 }
@@ -516,11 +564,13 @@ BENCHMARK(BM_ShipEncodeBatch)->Arg(1)->Arg(16)->Arg(256);
 void BM_ShipDecodeBatch(benchmark::State& state) {
   auto batch = ShipBenchBatch(static_cast<int>(state.range(0)));
   ship::EncodedBatch enc = ship::EncodeBatch(batch, ship::CodecOptions{});
+  const uint64_t allocs = g_allocs;
   for (auto _ : state) {
     auto dec = ship::DecodeBatch(enc.payload);
     benchmark::DoNotOptimize(dec);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
+  ReportAllocsPerItem(state, allocs, state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ShipDecodeBatch)->Arg(1)->Arg(16)->Arg(256);
 

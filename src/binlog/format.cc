@@ -142,23 +142,17 @@ Status ParseRecord(std::string_view data, RecordView* out) {
   return Status::OK();
 }
 
-std::string EncodeEntryPayload(const middleware::ReplicationEntry& entry) {
-  // One-entry batch through the ship codec: the log and the wire share a
-  // deterministic format, and DecodeBatch's hardening against malformed
+void AppendEntryPayload(const middleware::ReplicationEntry& entry,
+                        std::string* out) {
+  // A one-entry batch through the ship codec: the log and the wire share a
+  // deterministic format, and the decoder's hardening against malformed
   // input carries over to log recovery for free.
-  ship::CodecOptions opts;
-  return ship::EncodeBatch({entry}, opts).payload;
+  ship::AppendBatch({&entry, 1}, ship::CodecOptions{}, out);
 }
 
-Result<middleware::ReplicationEntry> DecodeEntryPayload(
-    std::string_view payload) {
-  Result<std::vector<middleware::ReplicationEntry>> batch =
-      ship::DecodeBatch(payload);
-  REPLIDB_RETURN_NOT_OK(batch.status());
-  if (batch.value().size() != 1) {
-    return Status::InvalidArgument("binlog entry payload: not one entry");
-  }
-  return std::move(batch.value()[0]);
+Status DecodeEntryPayload(std::string_view payload,
+                          middleware::ReplicationEntry* out) {
+  return ship::DecodeEntry(payload, out);
 }
 
 std::string EncodeCheckpointPayload(const CheckpointRecord& cp) {

@@ -77,11 +77,15 @@ Status ParseRecord(std::string_view data, RecordView* out);
 // Payload codecs
 // ---------------------------------------------------------------------------
 
-/// Serializes one replication entry (delegates to the ship wire codec, so
-/// log bytes and wire bytes share one deterministic format).
-std::string EncodeEntryPayload(const middleware::ReplicationEntry& entry);
-Result<middleware::ReplicationEntry> DecodeEntryPayload(
-    std::string_view payload);
+/// Appends one replication entry's payload to `out`: the ship codec's
+/// encoding of a one-entry batch, so log bytes and wire bytes share one
+/// deterministic format. The log encodes straight into its frame buffer.
+void AppendEntryPayload(const middleware::ReplicationEntry& entry,
+                        std::string* out);
+/// Decodes an entry payload into `*out`, reusing the capacity of its
+/// vectors and strings (ship::DecodeEntry).
+Status DecodeEntryPayload(std::string_view payload,
+                          middleware::ReplicationEntry* out);
 
 /// \brief A checkpoint record: everything needed to rebuild the engine at
 /// `version` without replaying the log prefix. Digests are recorded at

@@ -45,8 +45,12 @@ Status SegmentedBinlog::WriteFrame(bool force_sync, LogPosition* pos_out) {
 
 Status SegmentedBinlog::AppendEntryRecord(
     const middleware::ReplicationEntry& entry, LogPosition* pos_out) {
+  // Encode the entry straight into the frame buffer behind a header
+  // placeholder, as AppendCheckpoint does.
   frame_.clear();
-  PutRecord(RecordType::kEntry, EncodeEntryPayload(entry), &frame_);
+  frame_.append(kRecordHeaderBytes, '\0');
+  AppendEntryPayload(entry, &frame_);
+  SealRecord(RecordType::kEntry, 0, &frame_);
   LogPosition pos;
   REPLIDB_RETURN_NOT_OK(WriteFrame(/*force_sync=*/false, &pos));
   SegmentInfo& active = segments_.back();
@@ -108,7 +112,9 @@ Result<middleware::ReplicationEntry> SegmentedBinlog::ReadAt(
   if (view.type != RecordType::kEntry) {
     return Status::InvalidArgument("binlog read: not an entry record");
   }
-  return DecodeEntryPayload(view.payload);
+  middleware::ReplicationEntry entry;
+  REPLIDB_RETURN_NOT_OK(DecodeEntryPayload(view.payload, &entry));
+  return entry;
 }
 
 Result<RecoveryInfo> SegmentedBinlog::Recover() {
@@ -123,6 +129,7 @@ Result<RecoveryInfo> SegmentedBinlog::Recover() {
   std::vector<uint64_t> listed = store_->List();
   next_segment_ = listed.empty() ? 0 : listed.back() + 1;
   bool log_ended = false;
+  middleware::ReplicationEntry entry;  // Each record decodes into this one.
   for (uint64_t seg : listed) {
     if (log_ended) {
       // Everything after the first bad frame is unreachable history (a
@@ -154,17 +161,15 @@ Result<RecoveryInfo> SegmentedBinlog::Recover() {
         break;
       }
       if (view.type == RecordType::kEntry) {
-        Result<middleware::ReplicationEntry> entry =
-            DecodeEntryPayload(view.payload);
-        if (!entry.ok()) {
+        if (!DecodeEntryPayload(view.payload, &entry).ok()) {
           info.truncated_bytes += bytes.size() - offset;
           (void)store_->Truncate(seg, offset);
           log_ended = true;
           break;
         }
-        if (si.base_version == 0) si.base_version = entry.value().version;
-        si.last_version = entry.value().version;
-        head_version_ = std::max(head_version_, entry.value().version);
+        if (si.base_version == 0) si.base_version = entry.version;
+        si.last_version = entry.version;
+        head_version_ = std::max(head_version_, entry.version);
       } else {
         Result<CheckpointRecord> cp = DecodeCheckpointPayload(view.payload);
         if (!cp.ok()) {
@@ -335,16 +340,14 @@ bool LogCursor::Next(middleware::ReplicationEntry* out) {
         position_.offset += view.frame_bytes;
         continue;
       }
-      Result<middleware::ReplicationEntry> entry =
-          DecodeEntryPayload(view.payload);
-      if (!entry.ok()) {
-        status_ = entry.status();
+      Status decoded = DecodeEntryPayload(view.payload, out);
+      if (!decoded.ok()) {
+        status_ = decoded;
         break;
       }
       position_.offset += view.frame_bytes;
-      if (entry.value().version <= after_) continue;
-      highest_ = std::max(highest_, entry.value().version);
-      *out = entry.TakeValue();
+      if (out->version <= after_) continue;
+      highest_ = std::max(highest_, out->version);
       return true;
     }
     if (!status_.ok() || seg == &log_->segments_.back()) break;

@@ -89,9 +89,12 @@ class SegmentedBinlog;
 ///    afresh, as Cursor(v).
 class LogCursor {
  public:
-  /// Advances to the next entry; false at end-of-log or on a decode error
-  /// (check status()). Checkpoint records are skipped. After a false
-  /// return, a later call resumes at the same position.
+  /// Advances to the next entry, decoding it into `*out` and reusing the
+  /// capacity of its vectors and strings, so a caller keeps one entry
+  /// across its loop. False at end-of-log or on a decode error (check
+  /// status()), and `*out` then holds no meaningful entry. Checkpoint
+  /// records are skipped. After a false return, a later call resumes at
+  /// the same position.
   bool Next(middleware::ReplicationEntry* out);
   const Status& status() const { return status_; }
 

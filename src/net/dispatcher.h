@@ -2,9 +2,9 @@
 #define REPLIDB_NET_DISPATCHER_H_
 
 #include <any>
+#include <deque>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/hashing.h"
 #include "common/logging.h"
@@ -70,14 +70,16 @@ class Dispatcher {
       ++unmatched_;
       return;
     }
-    // Copy: a handler may (un)subscribe while running.
-    std::vector<MessageHandler> handlers = it->second;
-    for (MessageHandler& h : handlers) h(m);
+    // In place. A handler that subscribes while running lands past `n`, so
+    // it sees only later messages; neither the map's nodes nor a deque's
+    // elements move on insert, so the running handler stays put.
+    std::deque<MessageHandler>& handlers = it->second;
+    for (size_t i = 0, n = handlers.size(); i < n; ++i) handlers[i](m);
   }
 
   Network* network_;
   NodeId node_;
-  HashMap<std::string, std::vector<MessageHandler>> handlers_;
+  HashMap<std::string, std::deque<MessageHandler>> handlers_;
   uint64_t unmatched_ = 0;
 };
 

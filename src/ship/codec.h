@@ -2,6 +2,7 @@
 #define REPLIDB_SHIP_CODEC_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,15 +39,29 @@ struct EncodedBatch {
 /// statement batches). Versions and commit timestamps are delta-encoded
 /// across the batch; strings go through the optional dictionary; integer
 /// row values optionally XOR-delta against the previous row of the same
-/// table.
+/// table. The payload is AppendBatch's bytes.
 EncodedBatch EncodeBatch(const std::vector<middleware::ReplicationEntry>& entries,
                          const CodecOptions& options);
+
+/// Appends the encoding of `entries` to `out`, reserved once. The
+/// dictionary holds views into `entries` and an XOR delta reads its
+/// reference row where it lies in `entries`, so nothing is copied. The
+/// durable log encodes an entry record straight into its frame buffer.
+void AppendBatch(std::span<const middleware::ReplicationEntry> entries,
+                 const CodecOptions& options, std::string* out);
 
 /// Decodes a batch produced by EncodeBatch. Never crashes on malformed
 /// input: any truncation, bad tag or bound violation yields an error
 /// status instead.
 Result<std::vector<middleware::ReplicationEntry>> DecodeBatch(
     std::string_view payload);
+
+/// Decodes a one-entry batch into `*out`, reusing the capacity of its
+/// vectors and strings. It runs the per-entry decoder DecodeBatch loops
+/// over, and rejects what DecodeBatch rejects plus a batch of other than
+/// one entry; after an error `*out` holds no meaningful entry.
+Status DecodeEntry(std::string_view payload,
+                   middleware::ReplicationEntry* out);
 
 }  // namespace replidb::ship
 

@@ -17,12 +17,15 @@ inline int64_t ZigzagDecode(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
-/// Appends primitives to a byte buffer in the ship wire format: LEB128
-/// varints, zigzag-mapped signed ints, raw little-endian doubles, and
-/// length-prefixed byte strings.
+/// Appends primitives to a caller's byte buffer in the ship wire format:
+/// LEB128 varints, zigzag-mapped signed ints, raw little-endian doubles,
+/// and length-prefixed byte strings. The caller owns the buffer and sizes
+/// it, so an encoder can write into a frame that already holds a header.
 class WireWriter {
  public:
-  void PutByte(uint8_t b) { out_.push_back(static_cast<char>(b)); }
+  explicit WireWriter(std::string* out) : out_(out) {}
+
+  void PutByte(uint8_t b) { out_->push_back(static_cast<char>(b)); }
 
   void PutVarint(uint64_t v) {
     while (v >= 0x80) {
@@ -37,16 +40,13 @@ class WireWriter {
   void PutDouble(double v) {
     char buf[sizeof(double)];
     std::memcpy(buf, &v, sizeof(double));
-    out_.append(buf, sizeof(double));
+    out_->append(buf, sizeof(double));
   }
 
-  void PutRaw(std::string_view bytes) { out_.append(bytes); }
-
-  const std::string& bytes() const { return out_; }
-  std::string Take() { return std::move(out_); }
+  void PutRaw(std::string_view bytes) { out_->append(bytes); }
 
  private:
-  std::string out_;
+  std::string* out_;
 };
 
 /// Bounds-checked reader over an encoded buffer. Every Get* returns false

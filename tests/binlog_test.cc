@@ -25,6 +25,7 @@
 #include "middleware/cluster.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "ship/codec.h"
 #include "workload/load_generator.h"
 #include "workload/workloads.h"
 
@@ -50,11 +51,15 @@ ReplicationEntry Entry(GlobalVersion v) {
   return e;
 }
 
-size_t FrameBytes(const ReplicationEntry& e) {
+std::string EntryFrame(const ReplicationEntry& e) {
+  std::string payload;
+  AppendEntryPayload(e, &payload);
   std::string frame;
-  PutRecord(RecordType::kEntry, EncodeEntryPayload(e), &frame);
-  return frame.size();
+  PutRecord(RecordType::kEntry, payload, &frame);
+  return frame;
 }
+
+size_t FrameBytes(const ReplicationEntry& e) { return EntryFrame(e).size(); }
 
 // ---------------------------------------------------------------------------
 // Record framing
@@ -62,17 +67,16 @@ size_t FrameBytes(const ReplicationEntry& e) {
 
 TEST(FormatTest, EntryRecordRoundTrips) {
   ReplicationEntry e = Entry(42);
-  std::string frame;
-  PutRecord(RecordType::kEntry, EncodeEntryPayload(e), &frame);
+  std::string frame = EntryFrame(e);
   RecordView view;
   ASSERT_TRUE(ParseRecord(frame, &view).ok());
   EXPECT_EQ(view.type, RecordType::kEntry);
   EXPECT_EQ(view.frame_bytes, frame.size());
-  Result<ReplicationEntry> back = DecodeEntryPayload(view.payload);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().version, 42u);
-  EXPECT_EQ(back.value().statements, e.statements);
-  EXPECT_EQ(back.value().origin_commit_us, e.origin_commit_us);
+  ReplicationEntry back;
+  ASSERT_TRUE(DecodeEntryPayload(view.payload, &back).ok());
+  EXPECT_EQ(back.version, 42u);
+  EXPECT_EQ(back.statements, e.statements);
+  EXPECT_EQ(back.origin_commit_us, e.origin_commit_us);
 }
 
 TEST(FormatTest, CheckpointRecordRoundTrips) {
@@ -252,6 +256,101 @@ TEST(FormatTest, CheckpointFramesMatchGoldenBytes) {
   }
 }
 
+/// An entry whose encoding reaches the codec's dictionary and XOR-delta
+/// state: interleaved tables (accounts, audit, accounts), a string value
+/// equal to a table name, and NULL, bool, double and negative values.
+ReplicationEntry GoldenEntry() {
+  using engine::WriteOpKind;
+  using sql::Value;
+  auto op = [](WriteOpKind kind, const char* table, Value pk, sql::Row after) {
+    engine::WriteOp o;
+    o.kind = kind;
+    o.database = "bank";
+    o.table = table;
+    o.primary_key = std::move(pk);
+    o.after = std::move(after);
+    return o;
+  };
+  ReplicationEntry e;
+  e.version = 10;
+  e.origin_commit_us = 1000;
+  e.statements = {"UPDATE accounts SET balance = balance + 1"};
+  e.writeset.ops = {
+      op(WriteOpKind::kUpdate, "accounts", Value::Int(1),
+         {Value::Int(1), Value::Int(101), Value::String("ann"),
+          Value::Bool(true)}),
+      op(WriteOpKind::kInsert, "audit", Value::Int(-7),
+         {Value::Int(-7), Value::String("accounts"), Value::Double(-2.5),
+          Value::Null()}),
+      op(WriteOpKind::kDelete, "accounts", Value::Int(3), {}),
+      op(WriteOpKind::kUpdate, "accounts", Value::Int(2),
+         {Value::Int(2), Value::Int(-40), Value::String("ben"),
+          Value::Bool(false)})};
+  return e;
+}
+
+// Recorded from the log that encoded an entry through a one-entry batch
+// copied into its frame: entry records must not move either.
+TEST(FormatTest, EntryFramesMatchGoldenBytes) {
+  const std::string kGolden =
+      "474c425201008a000000f298a981d55b01030114d00f0001525550444154452061"
+      "63636f756e7473205345542062616c616e6365203d2062616c616e6365202b2031"
+      "04010862616e6b106163636f756e7473010204010201ca010306616e6e0400030a"
+      "6175646974010d04010d03050200000000000004c0000203050106000103050104"
+      "04060306bdffffffffffffffff01030662656e05";
+  const ReplicationEntry entry = GoldenEntry();
+  MemLogStore store;
+  SegmentedBinlog log(&store, SegmentedLogOptions{});
+  LogPosition pos;
+  ASSERT_TRUE(log.Append(entry, &pos).ok());
+  Result<std::string> stored = store.Read(0);
+  ASSERT_TRUE(stored.ok());
+  const std::string& frame = stored.value();
+  EXPECT_EQ(Hex(frame), kGolden);
+
+  RecordView view;
+  ASSERT_TRUE(ParseRecord(frame, &view).ok());
+  EXPECT_EQ(view.frame_bytes, frame.size());
+  for (size_t len = 0; len < frame.size(); ++len) {
+    EXPECT_FALSE(ParseRecord(std::string_view(frame).substr(0, len), &view).ok())
+        << "frame prefix of " << len << " bytes parsed";
+  }
+  ASSERT_TRUE(ParseRecord(frame, &view).ok());
+  // The payload is a one-entry ship batch.
+  auto batch = ship::DecodeBatch(view.payload);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch.value().size(), 1u);
+  for (size_t len = 0; len < view.payload.size(); ++len) {
+    EXPECT_FALSE(ship::DecodeBatch(view.payload.substr(0, len)).ok())
+        << "payload prefix of " << len << " bytes decoded";
+  }
+  // Both read paths give the entry back.
+  Result<ReplicationEntry> at = log.ReadAt(pos);
+  ASSERT_TRUE(at.ok()) << at.status().ToString();
+  ReplicationEntry next;
+  LogCursor cur = log.Cursor(0);
+  ASSERT_TRUE(cur.Next(&next));
+  for (const ReplicationEntry* back : {&at.value(), &next}) {
+    EXPECT_EQ(back->version, entry.version);
+    EXPECT_EQ(back->origin_commit_us, entry.origin_commit_us);
+    EXPECT_EQ(back->statements, entry.statements);
+    ASSERT_EQ(back->writeset.ops.size(), entry.writeset.ops.size());
+    for (size_t i = 0; i < entry.writeset.ops.size(); ++i) {
+      const engine::WriteOp& want = entry.writeset.ops[i];
+      const engine::WriteOp& got = back->writeset.ops[i];
+      EXPECT_EQ(got.kind, want.kind) << "op " << i;
+      EXPECT_EQ(got.database, want.database) << "op " << i;
+      EXPECT_EQ(got.table, want.table) << "op " << i;
+      EXPECT_TRUE(got.primary_key == want.primary_key) << "op " << i;
+      ASSERT_EQ(got.after.size(), want.after.size()) << "op " << i;
+      for (size_t c = 0; c < want.after.size(); ++c) {
+        EXPECT_EQ(got.after[c].type(), want.after[c].type());
+        EXPECT_TRUE(got.after[c] == want.after[c]) << "op " << i << " col " << c;
+      }
+    }
+  }
+}
+
 // A length is checked against the bytes left. Checked as pos + n > size,
 // a name declaring 2^64 - 1 bytes wraps the sum and decodes as empty.
 TEST(FormatTest, CheckpointDecodeRejectsLengthPastTheEnd) {
@@ -266,8 +365,7 @@ TEST(FormatTest, CheckpointDecodeRejectsLengthPastTheEnd) {
 }
 
 TEST(FormatTest, ParseRejectsCorruptionAndTruncation) {
-  std::string frame;
-  PutRecord(RecordType::kEntry, EncodeEntryPayload(Entry(1)), &frame);
+  std::string frame = EntryFrame(Entry(1));
   RecordView view;
   // Bit flip in the payload: CRC mismatch.
   std::string flipped = frame;

@@ -224,6 +224,39 @@ TEST(DispatcherTest, RoutesByType) {
   EXPECT_EQ(d2.unmatched_messages(), 1u);
 }
 
+// A handler that subscribes while a message of its type is dispatched sees
+// only later messages. The running handler reads its capture after each
+// On(): it captures one pointer, so std::function holds it inline, and a
+// handler list that moved its elements would leave it reading freed memory.
+TEST(DispatcherTest, HandlerSubscribedDuringDispatchSeesOnlyLaterMessages) {
+  TestEnv env;
+  Dispatcher d1(env.net.get(), 1);
+  Dispatcher d2(env.net.get(), 2);
+  struct Context {
+    Dispatcher* d;
+    std::vector<int> seen;  // Messages each late handler saw.
+    int calls = 0;
+  } ctx{&d2, {}};
+  constexpr int kPerMessage = 40;  // Grows the handler list many times.
+  d2.On("a", [c = &ctx](const Message&) {
+    ++c->calls;
+    for (int i = 0; i < kPerMessage; ++i) {
+      size_t slot = c->seen.size();
+      c->seen.push_back(0);
+      c->d->On("a", [c, slot](const Message&) { ++c->seen[slot]; });
+    }
+  });
+  for (int i = 0; i < 3; ++i) d1.Send(2, "a", 0, 1);
+  env.sim.Run();
+  EXPECT_EQ(ctx.calls, 3);
+  ASSERT_EQ(ctx.seen.size(), 3u * kPerMessage);
+  for (size_t s = 0; s < ctx.seen.size(); ++s) {
+    // Subscribed during message k (0-based) of 3: sees the 2 - k after it.
+    EXPECT_EQ(ctx.seen[s], 2 - static_cast<int>(s / kPerMessage))
+        << "handler " << s;
+  }
+}
+
 // --- Heartbeat detector ------------------------------------------------
 
 struct HbEnv : TestEnv {

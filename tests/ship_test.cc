@@ -184,6 +184,172 @@ TEST(ShipCodecTest, RepetitiveBatchesCompress) {
             2.0);
 }
 
+std::string Hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    out.push_back(kDigits[(static_cast<unsigned char>(c) >> 4) & 0xf]);
+    out.push_back(kDigits[static_cast<unsigned char>(c) & 0xf]);
+  }
+  return out;
+}
+
+engine::WriteOp Op(engine::WriteOpKind kind, const std::string& table,
+                   sql::Value pk, sql::Row after) {
+  engine::WriteOp op;
+  op.kind = kind;
+  op.database = "bank";
+  op.table = table;
+  op.primary_key = std::move(pk);
+  op.after = std::move(after);
+  return op;
+}
+
+/// One batch that reaches every branch of the encoder's state: a statement
+/// text repeated across entries, a string value equal to an earlier table
+/// name, XOR deltas over interleaved tables (accounts, audit, accounts: the
+/// second accounts row's reference is two ops back), a delete between two
+/// updates of one table, a statement-only entry, and NULL, bool, double and
+/// negative values.
+std::vector<ReplicationEntry> GoldenBatch() {
+  using engine::WriteOpKind;
+  using sql::Value;
+  const std::string kStmt = "UPDATE accounts SET balance = balance + 1";
+  ReplicationEntry e1;
+  e1.version = 10;
+  e1.origin_commit_us = 1000;
+  e1.statements = {kStmt};
+  e1.writeset.ops = {
+      Op(WriteOpKind::kUpdate, "accounts", Value::Int(1),
+         {Value::Int(1), Value::Int(101), Value::String("ann"),
+          Value::Bool(true)}),
+      Op(WriteOpKind::kInsert, "audit", Value::Int(-7),
+         {Value::Int(-7), Value::String("accounts"), Value::Double(-2.5),
+          Value::Null()}),
+      Op(WriteOpKind::kUpdate, "accounts", Value::Int(2),
+         {Value::Int(2), Value::Int(-40), Value::String("ben"),
+          Value::Bool(false)})};
+  ReplicationEntry e2;
+  e2.version = 11;
+  e2.origin_commit_us = 1500;
+  e2.statements = {kStmt, "DELETE FROM accounts WHERE id = 3"};
+  e2.writeset.ops = {
+      Op(WriteOpKind::kUpdate, "accounts", Value::Int(2),
+         {Value::Int(2), Value::Int(-39), Value::String("ben"),
+          Value::Bool(false)}),
+      Op(WriteOpKind::kDelete, "accounts", Value::Int(3), {}),
+      Op(WriteOpKind::kUpdate, "accounts", Value::Int(1),
+         {Value::Int(1), Value::Int(102), Value::String("ann"),
+          Value::Bool(true)})};
+  ReplicationEntry e3;
+  e3.version = 13;
+  e3.origin_commit_us = 1400;  // Negative commit-time delta.
+  e3.use_statements = true;
+  e3.statements = {"CREATE TABLE t (id INT)", kStmt};
+  e3.writeset.incomplete = true;
+  return {e1, e2, e3};
+}
+
+// Hex recorded from the codec that kept its dictionary and XOR-delta
+// references in hash maps of copied strings and rows: the wire bytes, and
+// the log bytes built on them, must not move.
+TEST(ShipCodecTest, BatchesMatchGoldenBytes) {
+  // [dictionary][xor_delta]
+  const std::string kGolden[2][2] = {
+      {"d55b01000314d00f000152555044415445206163636f756e747320534554206261"
+       "6c616e6365203d2062616c616e6365202b203103010862616e6b106163636f756e"
+       "7473010204010201ca010306616e6e04000862616e6b0a6175646974010d04010d"
+       "03106163636f756e74730200000000000004c000010862616e6b106163636f756e"
+       "74730104040104014f030662656e0502e807000252555044415445206163636f75"
+       "6e7473205345542062616c616e6365203d2062616c616e6365202b20314244454c"
+       "4554452046524f4d206163636f756e7473205748455245206964203d2033030108"
+       "62616e6b106163636f756e74730104040104014d030662656e05020862616e6b10"
+       "6163636f756e7473010600010862616e6b106163636f756e7473010204010201cc"
+       "010306616e6e0404c70103022e435245415445205441424c452074202869642049"
+       "4e542952555044415445206163636f756e7473205345542062616c616e6365203d"
+       "2062616c616e6365202b203100",
+       "d55b01020314d00f000152555044415445206163636f756e747320534554206261"
+       "6c616e6365203d2062616c616e6365202b203103010862616e6b106163636f756e"
+       "7473010204010201ca010306616e6e04000862616e6b0a6175646974010d04010d"
+       "03106163636f756e74730200000000000004c000010862616e6b106163636f756e"
+       "7473010404060306bdffffffffffffffff01030662656e0502e807000252555044"
+       "415445206163636f756e7473205345542062616c616e6365203d2062616c616e63"
+       "65202b20314244454c4554452046524f4d206163636f756e747320574845524520"
+       "6964203d203303010862616e6b106163636f756e74730104040600060103066265"
+       "6e05020862616e6b106163636f756e7473010600010862616e6b106163636f756e"
+       "7473010204060306bfffffffffffffffff010306616e6e0404c70103022e435245"
+       "415445205441424c4520742028696420494e542952555044415445206163636f75"
+       "6e7473205345542062616c616e6365203d2062616c616e6365202b203100"},
+      {"d55b01010314d00f000152555044415445206163636f756e747320534554206261"
+       "6c616e6365203d2062616c616e6365202b203103010862616e6b106163636f756e"
+       "7473010204010201ca010306616e6e0400030a6175646974010d04010d03050200"
+       "000000000004c0000103050104040104014f030662656e0502e807000201424445"
+       "4c4554452046524f4d206163636f756e7473205748455245206964203d20330301"
+       "03050104040104014d030b05020305010600010305010204010201cc0103070404"
+       "c70103022e435245415445205441424c4520742028696420494e54290100",
+       "d55b01030314d00f000152555044415445206163636f756e747320534554206261"
+       "6c616e6365203d2062616c616e6365202b203103010862616e6b106163636f756e"
+       "7473010204010201ca010306616e6e0400030a6175646974010d04010d03050200"
+       "000000000004c000010305010404060306bdffffffffffffffff01030662656e05"
+       "02e8070002014244454c4554452046524f4d206163636f756e7473205748455245"
+       "206964203d20330301030501040406000601030b05020305010600010305010204"
+       "060306bfffffffffffffffff0103070404c70103022e435245415445205441424c"
+       "4520742028696420494e54290100"}};
+  std::vector<ReplicationEntry> batch = GoldenBatch();
+  for (bool dict : {false, true}) {
+    for (bool xd : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "dictionary=" << dict
+                                      << " xor_delta=" << xd);
+      CodecOptions opts;
+      opts.dictionary = dict;
+      opts.xor_delta = xd;
+      EncodedBatch enc = EncodeBatch(batch, opts);
+      EXPECT_EQ(Hex(enc.payload), kGolden[dict][xd]);
+      auto dec = DecodeBatch(enc.payload);
+      ASSERT_TRUE(dec.ok()) << dec.status().ToString();
+      ExpectEntriesEqual(batch, dec.value());
+      for (size_t len = 0; len < enc.payload.size(); ++len) {
+        EXPECT_FALSE(
+            DecodeBatch(std::string_view(enc.payload).substr(0, len)).ok())
+            << "prefix of " << len << " bytes decoded";
+      }
+    }
+  }
+}
+
+// The log's decoder: one-entry batches decode into the caller's entry,
+// whatever it held before, through the same per-entry decoder as
+// DecodeBatch, and are rejected on the same inputs.
+TEST(ShipCodecTest, DecodeEntryOverwritesTheCallersEntry) {
+  std::vector<ReplicationEntry> golden = GoldenBatch();
+  Rng rng(77);
+  ReplicationEntry reused = RandomEntry(rng, 5);
+  for (bool xd : {false, true}) {
+    CodecOptions opts;
+    opts.xor_delta = xd;
+    // Wider and narrower entries in turn: the reused entry's ops, rows and
+    // statements grow and shrink.
+    for (const ReplicationEntry& e :
+         {golden[1], golden[2], golden[0], RandomEntry(rng, 9), golden[1]}) {
+      EncodedBatch enc = EncodeBatch({e}, opts);
+      ASSERT_TRUE(DecodeEntry(enc.payload, &reused).ok());
+      ExpectEntriesEqual({e}, {reused});
+      for (size_t len = 0; len < enc.payload.size(); ++len) {
+        ReplicationEntry scratch = golden[0];
+        EXPECT_FALSE(
+            DecodeEntry(std::string_view(enc.payload).substr(0, len), &scratch)
+                .ok())
+            << "prefix of " << len << " bytes decoded";
+      }
+      EXPECT_FALSE(DecodeEntry(enc.payload + "x", &reused).ok());
+    }
+  }
+  EncodedBatch two = EncodeBatch({golden[0], golden[1]}, CodecOptions{});
+  EXPECT_FALSE(DecodeEntry(two.payload, &reused).ok());
+  EncodedBatch none = EncodeBatch({}, CodecOptions{});
+  EXPECT_FALSE(DecodeEntry(none.payload, &reused).ok());
+}
+
 TEST(ShipCodecTest, FuzzedInputsNeverCrash) {
   Rng rng(999);
   // Pure garbage.

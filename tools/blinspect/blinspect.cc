@@ -63,6 +63,7 @@ int Scan(const std::string& dir, bool verbose, ScanTotals* totals) {
     return 2;
   }
   std::vector<uint64_t> segments = store.List();
+  ReplicationEntry entry;  // Each entry record decodes into this one.
   for (uint64_t seg : segments) {
     Result<std::string> data = store.Read(seg);
     if (!data.ok()) {
@@ -89,30 +90,30 @@ int Scan(const std::string& dir, bool verbose, ScanTotals* totals) {
         break;  // Everything past the first bad frame is untrusted.
       }
       if (view.type == RecordType::kEntry) {
-        Result<ReplicationEntry> entry = DecodeEntryPayload(view.payload);
-        if (!entry.ok()) {
+        Status decoded = DecodeEntryPayload(view.payload, &entry);
+        if (!decoded.ok()) {
           ++totals->bad_frames;
           totals->damaged_bytes += bytes.size() - offset;
           std::printf("seg=%llu off=%llu BAD entry payload: %s\n",
                       static_cast<unsigned long long>(seg),
                       static_cast<unsigned long long>(offset),
-                      entry.status().ToString().c_str());
+                      decoded.ToString().c_str());
           break;
         }
         ++totals->entries;
         if (totals->first_version == 0) {
-          totals->first_version = entry.value().version;
+          totals->first_version = entry.version;
         }
-        totals->last_version = entry.value().version;
+        totals->last_version = entry.version;
         if (verbose) {
           std::printf("seg=%llu off=%llu entry v=%llu ops=%zu stmts=%zu "
                       "frame=%zuB%s\n",
                       static_cast<unsigned long long>(seg),
                       static_cast<unsigned long long>(offset),
-                      static_cast<unsigned long long>(entry.value().version),
-                      entry.value().writeset.ops.size(),
-                      entry.value().statements.size(), view.frame_bytes,
-                      entry.value().use_statements ? " [statements]" : "");
+                      static_cast<unsigned long long>(entry.version),
+                      entry.writeset.ops.size(), entry.statements.size(),
+                      view.frame_bytes,
+                      entry.use_statements ? " [statements]" : "");
         }
       } else {
         Result<CheckpointRecord> cp = DecodeCheckpointPayload(view.payload);
